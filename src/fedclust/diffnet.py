@@ -143,16 +143,6 @@ class GradientSet:
             g.shape == p.shape for g, p in zip(self.arrays, params)
         )
 
-    def add_(self, other: "GradientSet") -> "GradientSet":
-        for a, b in zip(self.arrays, other.arrays):
-            a += b
-        return self
-
-    def scale_(self, factor: float) -> "GradientSet":
-        for a in self.arrays:
-            a *= factor
-        return self
-
 
 @dataclass
 class ForwardTaps:

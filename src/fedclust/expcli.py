@@ -2,9 +2,9 @@
 (heterogeneity / lambda / disconnection rate), CSV+JSON result emission, and
 aggregation of finished result files.
 
-Exit codes: 0 ok, 2 config error, 3 runtime error. Worker count for sweep
-cells is capped by the FEDCLUST_THREADS environment variable (default 1).
-Progress goes to stderr; data only to files.
+Exit codes: 0 ok, 2 config error, 3 runtime error. Grid cells run one
+after another, in grid order, in the calling process. Progress goes to
+stderr; data only to files.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -166,7 +164,6 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 TOP_FIELDS: dict[str, _Field] = {
     "repeats": _Field(1, "int", _check_range(lo=1)),
     "seed": _Field(0, "int"),
-    "output": _Field(None, "str_or_null"),
 }
 
 
@@ -269,15 +266,6 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     return datagen.load_fvd(ds["path"])
 
 
-def _worker_count(cells: int) -> int:
-    raw = os.environ.get("FEDCLUST_THREADS", "1")
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FEDCLUST_THREADS must be an integer, got {raw!r}") from None
-    return min(limit, max(1, cells))
-
-
 def _run_cell(cfg, dataset, p, lam, rate, seed, log):
     part = cfg["partition"]
     num_classes = dataset.num_classes if dataset.labels is not None else None
@@ -358,15 +346,7 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> list[ResultRow]:
         for rep in range(cfg["repeats"]):
             cells.append((p, lam, rate, base_seed + rep))
 
-    workers = _worker_count(len(cells))
-    if workers == 1:
-        per_cell = [_run_cell(cfg, dataset, *cell, log) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(
-                pool.map(lambda cell: _run_cell(cfg, dataset, *cell, log), cells)
-            )
-    return [row for rows in per_cell for row in rows]
+    return [row for cell in cells for row in _run_cell(cfg, dataset, *cell, log)]
 
 
 def _format_cell(value) -> str:

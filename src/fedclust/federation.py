@@ -20,7 +20,7 @@ from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
 from .diffnet import MlpSpec, SiameseModel
-from .errors import ConfigError, ProtocolError, SizeError
+from .errors import ConfigError, MetricError, ProtocolError, SizeError
 from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
 
 ALGORITHMS = (
@@ -120,7 +120,6 @@ class ClientState:
 class ServerState:
     global_model: SiameseModel
     global_centroids: CentroidSet | None = None
-    round_index: int = 0
 
 
 @dataclass
@@ -203,9 +202,9 @@ def aggregate_centroids(updates: list[ClientUpdate], k: int, seed: int,
     return cset
 
 
-def _mean_reports(reports: list[LossReport]) -> tuple[float, float, float] | None:
+def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None, float | None]:
     if not reports:
-        return None
+        return None, None, None
     c = float(np.mean([r.contrastive_term for r in reports]))
     g = float(np.mean([r.regularizer_term for r in reports]))
     t = float(np.mean([r.total for r in reports]))
@@ -334,84 +333,64 @@ def _kfed_fuse(config: RunConfig, updates: list[ClientUpdate], m: int) -> Centro
     )
 
 
-def _evaluate_global(
-    model: SiameseModel,
-    centroids: CentroidSet,
-    dataset: LabeledDataset,
-) -> tuple[Assignment, float | None, float | None, float | None]:
-    latents = diffnet.forward_encoder(model, dataset.features)
-    assignment = assign_nearest(latents, centroids)
-    if dataset.labels is None:
-        return assignment, None, None, None
-    score_nmi = metrics.nmi(assignment.labels, dataset.labels)
-    score_kappa = metrics.kappa(assignment.labels, dataset.labels)
-    try:
-        ch = metrics.calinski_harabasz(latents, dataset.labels)
-    except Exception:
-        ch = None
-    return assignment, score_nmi, score_kappa, ch
-
-
-def _evaluate_standalone(
+def _evaluate(
+    config: RunConfig,
+    server: ServerState,
     clients: list[ClientState],
     dataset: LabeledDataset,
     split: FederatedSplit,
-) -> tuple[float | None, float | None, float | None]:
-    """Mean of per-client scores on each connected client's own slice, using its
-    own model and centroids (cluster ids are not comparable across clients)."""
-    if dataset.labels is None:
-        return None, None, None
-    nmis, kappas, chs = [], [], []
+) -> tuple[Assignment, float | None, float | None, float | None]:
+    """Label every row and score the labeling: (assignment, NMI, kappa, CH).
+
+    Server variants label each row with its nearest global centroid in the
+    global model's latent space and score the whole dataset. Standalone
+    variants label each client's rows with its own model and centroids (ids
+    are per-client and unaligned) and report the mean of the connected
+    clients' scores on their own slices. CH scores the true classes in the
+    latent space.
+    """
+    if not config.standalone:
+        latents = diffnet.forward_encoder(server.global_model, dataset.features)
+        assignment = assign_nearest(latents, server.global_centroids)
+        if dataset.labels is None:
+            return assignment, None, None, None
+        return (assignment, *_scores(assignment.labels, dataset.labels, latents))
+
+    labels = np.zeros(dataset.n, dtype=np.int64)
+    inertia = 0.0
+    per_client = []
     for client in clients:
-        if not client.connected or client.centroids is None:
-            continue
+        idx = split.client_indices[client.client_id]
         latents = diffnet.forward_encoder(client.model, client.features)
-        pred = assign_nearest(latents, client.centroids).labels
-        true = dataset.labels[split.client_indices[client.client_id]]
-        nmis.append(metrics.nmi(pred, true))
-        kappas.append(metrics.kappa(pred, true))
-        try:
-            chs.append(metrics.calinski_harabasz(latents, true))
-        except Exception:
-            pass
-    if not nmis:
-        return None, None, None
+        part = assign_nearest(latents, client.centroids)
+        labels[idx] = part.labels
+        inertia += part.inertia
+        if client.connected and dataset.labels is not None:
+            per_client.append(_scores(part.labels, dataset.labels[idx], latents))
+    assignment = Assignment(labels, inertia)
+    if not per_client:
+        return assignment, None, None, None
+    nmis, kappas, chs = zip(*per_client)
+    chs = [ch for ch in chs if ch is not None]
     return (
+        assignment,
         float(np.mean(nmis)),
         float(np.mean(kappas)),
         float(np.mean(chs)) if chs else None,
     )
 
 
-def _standalone_assignment(
-    clients: list[ClientState],
-    dataset: LabeledDataset,
-    split: FederatedSplit,
-    config: RunConfig,
-) -> Assignment:
-    """Union labeling from per-client models; ids are per-client and unaligned.
-
-    Disconnected clients never trained, so their rows are labeled by k-means on
-    their initial model's latents, computed here on demand.
-    """
-    labels = np.zeros(dataset.n, dtype=np.int64)
-    inertia = 0.0
-    for client in clients:
-        idx = split.client_indices[client.client_id]
-        latents = diffnet.forward_encoder(client.model, client.features)
-        if client.centroids is None:
-            cset, _ = lloyd(
-                latents,
-                config.k,
-                _stream_seed(config.seed, _S_LAZY, client.client_id),
-                restarts=config.kmeans_restarts,
-            )
-        else:
-            cset = client.centroids
-        part = assign_nearest(latents, cset)
-        labels[idx] = part.labels
-        inertia += part.inertia
-    return Assignment(labels, inertia)
+def _scores(
+    pred: np.ndarray, true: np.ndarray, latents: np.ndarray
+) -> tuple[float, float, float | None]:
+    """NMI, kappa and CH of one labeling; CH is None where it is undefined."""
+    score_nmi = metrics.nmi(pred, true)
+    score_kappa = metrics.kappa(pred, true)
+    try:
+        ch = metrics.calinski_harabasz(latents, true)
+    except MetricError:
+        ch = None
+    return score_nmi, score_kappa, ch
 
 
 def _raw_grouping_rounds(rounds: int) -> int:
@@ -446,8 +425,9 @@ def run(
     the encoder first learns the raw groups, and most of the run is left to
     refine them in the latent space.
 
-    The final labeling assigns every sample to its nearest global centroid
-    in the final latent space.
+    Every round ends with one evaluation (see `_evaluate`). The final record
+    and labeling are the last round's evaluation, or the bootstrap's in a
+    zero-round run.
     """
     config.validate()
     m = split.num_clients
@@ -511,10 +491,21 @@ def run(
                 updates, config.k, _stream_seed(config.seed, _S_BOOT_FUSE),
                 restarts=config.kmeans_restarts,
             )
+    if config.standalone:
+        # Disconnected clients never train, so their rows are labeled by
+        # k-means on their initial model's latents, mined once here.
+        for client in clients:
+            if not client.connected:
+                client.centroids, _ = lloyd(
+                    diffnet.forward_encoder(client.model, client.features),
+                    config.k,
+                    _stream_seed(config.seed, _S_LAZY, client.client_id),
+                    restarts=config.kmeans_restarts,
+                )
 
     records: list[RoundRecord] = []
+    evaluation = None
     for round_index in range(1, config.rounds + 1):
-        server.round_index = round_index
         if not config.standalone:
             disseminate(server, clients)
         round_reports: list[LossReport] = []
@@ -542,31 +533,14 @@ def run(
             )
 
         losses = _mean_reports(round_reports)
-        if config.standalone:
-            nmi_v, kappa_v, ch_v = _evaluate_standalone(clients, dataset, split)
-        else:
-            _, nmi_v, kappa_v, ch_v = _evaluate_global(
-                server.global_model, server.global_centroids, dataset
-            )
-        record = RoundRecord(
-            round_index,
-            losses[0] if losses else None,
-            losses[1] if losses else None,
-            losses[2] if losses else None,
-            nmi_v,
-            kappa_v,
-            ch_v,
-        )
+        evaluation = _evaluate(config, server, clients, dataset, split)
+        record = RoundRecord(round_index, *losses, *evaluation[1:])
         records.append(record)
         if progress is not None:
             progress(record)
 
-    if config.standalone:
-        assignment = _standalone_assignment(clients, dataset, split, config)
-        nmi_v, kappa_v, ch_v = _evaluate_standalone(clients, dataset, split)
-    else:
-        assignment, nmi_v, kappa_v, ch_v = _evaluate_global(
-            server.global_model, server.global_centroids, dataset
-        )
+    if evaluation is None:  # a zero-round run reports its bootstrap
+        evaluation = _evaluate(config, server, clients, dataset, split)
+    assignment, nmi_v, kappa_v, ch_v = evaluation
     final = RoundRecord(config.rounds, None, None, None, nmi_v, kappa_v, ch_v)
     return RunResult(records, assignment, final)

@@ -52,21 +52,16 @@ class Assignment:
             raise NumericError("inertia must be finite")
 
 
-# Above this many n*k*dim cells the assignment loop switches from the exact
-# pairwise-difference tensor to a BLAS expansion of |x-c|^2; labels may then
-# differ on exact distance ties, so per-point inertia is always recomputed
-# from the differences for the assigned centroid only.
-_EXACT_CELLS = 20_000
-
-
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+# The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
+# per-point |x|^2 term is dropped). Its labels may differ from the exact
+# differences on distance ties, so per-point inertia is always recomputed
+# from the differences for the assigned centroid only.
 def _argmin_labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    if points.shape[0] * centroids.shape[0] * points.shape[1] <= _EXACT_CELLS:
-        return np.argmin(_sq_dists(points, centroids), axis=1)
     d2 = np.square(centroids).sum(axis=1)[None, :] - 2.0 * (points @ centroids.T)
     return np.argmin(d2, axis=1)
 

@@ -1,5 +1,5 @@
-"""Clustering evaluation: NMI, optimally-matched Cohen's kappa,
-Calinski-Harabasz score, and a kNN probe on latent representations.
+"""Clustering evaluation: NMI, optimally-matched Cohen's kappa, and the
+Calinski-Harabasz score.
 
 Conventions that shift absolute values and are therefore pinned here:
 NMI normalizes mutual information by the geometric mean of the two label
@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .diffnet import as_matrix
-from .errors import ConfigError, MetricError, ShapeError, SizeError
+from .errors import ConfigError, MetricError, ShapeError
 
 KAPPA_MAX_CLUSTERS = 64
 _ENUMERATION_LIMIT = 6
@@ -31,14 +31,6 @@ class ContingencyTable:
 
     counts: np.ndarray
     n: int
-
-
-@dataclass
-class MetricsReport:
-    nmi: float
-    kappa: float
-    ch_score: float | None = None
-    knn_acc: dict[int, float] = field(default_factory=dict)
 
 
 def _as_labels(labels, name: str) -> np.ndarray:
@@ -156,33 +148,3 @@ def calinski_harabasz(points, labels) -> float:
         return math.inf
     return (between / (k - 1)) / (within / (n - k))
 
-
-def knn_probe(
-    train_latents, train_true_labels, test_latents, test_true_labels, k_list
-) -> dict[int, float]:
-    """Majority-vote kNN accuracy (Euclidean) per k; vote ties go to the smallest label."""
-    train = as_matrix(train_latents, "train_latents")
-    test = as_matrix(test_latents, "test_latents")
-    train_y = _as_labels(train_true_labels, "train_true_labels")
-    test_y = _as_labels(test_true_labels, "test_true_labels")
-    if train.shape[0] != train_y.size or test.shape[0] != test_y.size:
-        raise ShapeError("latents and labels disagree in length")
-    for k in k_list:
-        if k < 1 or k > train.shape[0]:
-            raise SizeError(f"k={k} out of range for train size {train.shape[0]}")
-
-    diff = test[:, None, :] - train[None, :, :]
-    d2 = np.einsum("ntd,ntd->nt", diff, diff)
-    # Stable sort keeps the lowest train index first among equal distances.
-    neighbor_order = np.argsort(d2, axis=1, kind="stable")
-    out: dict[int, float] = {}
-    num_classes = int(train_y.max()) + 1
-    for k in k_list:
-        votes = train_y[neighbor_order[:, :k]]
-        correct = 0
-        for i in range(test.shape[0]):
-            tally = np.bincount(votes[i], minlength=num_classes)
-            if tally.argmax() == test_y[i]:
-                correct += 1
-        out[int(k)] = correct / test.shape[0]
-    return out

@@ -123,8 +123,8 @@ class TestRunExperiment:
         )
         rows = run_experiment(cfg, log=QUIET)
         finals = [r for r in rows if r.final]
-        assert len(finals) == 4
-        assert {(r.p, r.seed) for r in finals} == {(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)}
+        # Cells run in grid order: sweep values outer, repeats inner.
+        assert [(r.p, r.seed) for r in finals] == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
 
     def test_kfed_has_null_losses(self):
         cfg = parse_config({**SMALL, "run": {**SMALL["run"], "algorithm": "KFED"}})
@@ -246,6 +246,15 @@ class TestCli:
         cfg_path.write_text(json.dumps({"run": {"lambda": -1}}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_output_key_rejected(self, tmp_path):
+        # The output directory is the required --out flag, never a config key.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "output": str(tmp_path / "elsewhere")}))
+        with pytest.raises(ConfigError, match="unknown key 'output'"):
+            parse_config(str(cfg_path))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         config = {"dataset": {"type": "fvd", "path": str(tmp_path / "missing.fvd")}}
         cfg_path = tmp_path / "cfg.json"
@@ -262,17 +271,6 @@ class TestCli:
         ds = load_fvd(dst)
         assert ds.n == 3 and ds.dim == 2
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
-
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDCLUST_THREADS", "2")
-        cfg = parse_config({**SMALL, "sweep": {"axis": "lambda", "values": [0.0, 0.1]}})
-        rows = run_experiment(cfg, log=QUIET)
-        finals = [r for r in rows if r.final]
-        assert [r.lam for r in finals] == [0.0, 0.1]  # grid order preserved
-
-        monkeypatch.setenv("FEDCLUST_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            run_experiment(cfg, log=QUIET)
 
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -10,8 +10,9 @@ from fedclust import datagen, diffnet, federation, metrics
 from fedclust.contrastive import ClusterBatch, cluster_contrastive_loss
 from fedclust.datagen import FederatedSplit, PartitionSpec
 from fedclust.diffnet import MlpSpec, init_model
-from fedclust.errors import ConfigError, ProtocolError, SizeError
+from fedclust.errors import ConfigError, ProtocolError, ShapeError, SizeError
 from fedclust.federation import (
+    ALGORITHMS,
     ClientState,
     ClientUpdate,
     RunConfig,
@@ -326,6 +327,92 @@ class TestRun:
                 rec.loss_contrastive + rec.loss_regularizer, abs=1e-9
             )
             assert 0.0 <= rec.nmi <= 1.0
+
+
+
+# Every variant at 2 rounds, plus the standalone ones with one of 3 clients
+# disconnected (floor(0.34 * 3) = 1).
+EVALUATION_CASES = [(name, 0.0) for name in ALGORITHMS] + [
+    ("CCFC_standalone", 0.34),
+    ("SCFC_standalone", 0.34),
+]
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("algorithm,rate", EVALUATION_CASES)
+    def test_final_is_last_round_evaluation(self, algorithm, rate):
+        ds, split = blob_fixture(k=3, n_per=40, m=3)
+        config = small_config(algorithm=algorithm, rounds=2, disconnection_rate=rate)
+        result = run(config, ds, split)
+        final = result.final
+        assert (final.loss_total, final.loss_contrastive, final.loss_regularizer) == (
+            None, None, None
+        )
+        if algorithm == "KFED":
+            assert result.records == [] and final.round == 0 and final.ch is None
+        else:
+            assert len(result.records) == 2 and final.round == 2
+            last = result.records[-1]
+            assert (final.nmi, final.kappa, final.ch) == (last.nmi, last.kappa, last.ch)
+        labels = result.assignment.labels
+        assert labels.shape == (ds.n,)
+        assert labels.min() >= 0 and labels.max() < config.k
+
+    @pytest.mark.parametrize("algorithm", ["CCFC_standalone", "SCFC_standalone"])
+    def test_standalone_labels_disconnected_rows_by_initial_model(self, algorithm):
+        ds, split = blob_fixture(k=3, n_per=40, m=3)
+        assert sorted(np.concatenate(split.client_indices).tolist()) == list(range(ds.n))
+        config = small_config(algorithm=algorithm, rounds=2, disconnection_rate=0.34)
+        result = run(config, ds, split)
+        (dropped,) = sample_disconnections(
+            3, 0.34, federation._stream_seed(config.seed, federation._S_CONN)
+        )
+        # A disconnected client never trains: its rows are labeled by k-means
+        # on the initial model's latents.
+        model = init_model(
+            MlpSpec((ds.dim, *config.encoder_hidden, config.latent_dim)),
+            MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim)),
+            federation._stream_seed(config.seed, federation._S_INIT),
+        )
+        idx = split.client_indices[dropped]
+        latents = diffnet.forward_encoder(model, ds.features[idx])
+        cset, _ = lloyd(
+            latents, config.k,
+            federation._stream_seed(config.seed, federation._S_LAZY, dropped),
+            restarts=config.kmeans_restarts,
+        )
+        np.testing.assert_array_equal(
+            result.assignment.labels[idx], assign_nearest(latents, cset).labels
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_zero_round_run_has_final_record(self, algorithm):
+        ds, split = blob_fixture(k=3, n_per=40, m=3)
+        config = small_config(algorithm=algorithm, rounds=0)
+        result = run(config, ds, split)
+        assert result.records == []
+        assert result.final.round == 0
+        assert result.final.nmi is not None and result.final.kappa is not None
+        assert result.assignment.labels.shape == (ds.n,)
+
+    def test_ch_failure_other_than_undefined_propagates(self, monkeypatch):
+        def broken(points, labels):
+            raise ShapeError("broken")
+
+        monkeypatch.setattr(metrics, "calinski_harabasz", broken)
+        ds, split = blob_fixture()
+        with pytest.raises(ShapeError, match="broken"):
+            run(small_config(rounds=1), ds, split)
+
+    def test_undefined_ch_is_none(self):
+        # At p=1 every client slice holds one class, so CH on a client's own
+        # slice is undefined (MetricError) and the run reports no CH.
+        ds, split = blob_fixture(k=3, n_per=40, m=3, p=1.0)
+        assert all(len(np.unique(ds.labels[idx])) == 1 for idx in split.client_indices)
+        result = run(small_config(algorithm="CCFC_standalone", rounds=1), ds, split)
+        assert [rec.ch for rec in result.records] == [None]
+        assert result.final.ch is None
+        assert result.final.nmi is not None
 
 
 class TestKfed:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedclust import metrics
-from fedclust.errors import MetricError, ShapeError, SizeError
+from fedclust.errors import MetricError, ShapeError
 
 
 def oracle_nmi(pred, true):
@@ -194,44 +194,3 @@ class TestCalinskiHarabasz:
     def test_single_cluster_rejected(self):
         with pytest.raises(MetricError):
             metrics.calinski_harabasz(np.random.default_rng(9).normal(size=(10, 2)), [0] * 10)
-
-
-class TestKnnProbe:
-    def test_self_match(self):
-        rng = np.random.default_rng(10)
-        z = rng.normal(size=(20, 3))
-        y = rng.integers(0, 2, size=20)
-        acc = metrics.knn_probe(z, y, z, y, [1])
-        assert acc[1] == 1.0
-
-    def test_k_equals_train_size_predicts_majority(self):
-        rng = np.random.default_rng(11)
-        train = rng.normal(size=(10, 2))
-        train_y = np.array([0] * 7 + [1] * 3)
-        test = rng.normal(size=(5, 2))
-        test_y = np.array([0, 0, 0, 1, 1])
-        acc = metrics.knn_probe(train, train_y, test, test_y, [10])
-        assert acc[10] == pytest.approx(3 / 5)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(12)
-        train = rng.normal(size=(20, 2))
-        train_y = rng.integers(0, 2, size=20)
-        test = rng.normal(size=(8, 2))
-        test_y = rng.integers(0, 2, size=8)
-        got = metrics.knn_probe(train, train_y, test, test_y, [3])[3]
-
-        correct = 0
-        for i in range(8):
-            dists = np.square(train - test[i]).sum(axis=1)
-            nearest = np.argsort(dists, kind="stable")[:3]
-            votes = np.bincount(train_y[nearest], minlength=2)
-            if votes.argmax() == test_y[i]:
-                correct += 1
-        assert got == pytest.approx(correct / 8)
-
-    def test_k_out_of_range(self):
-        z = np.zeros((3, 2))
-        y = [0, 1, 0]
-        with pytest.raises(SizeError):
-            metrics.knn_probe(z, y, z, y, [4])
