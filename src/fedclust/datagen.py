@@ -73,7 +73,7 @@ class PartitionSpec:
         if self.num_clients < 1:
             raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
         if not 0.0 <= self.heterogeneity <= 1.0:
-            raise ConfigError(f"heterogeneity must be in [0, 1], got {self.heterogeneity}")
+            raise ConfigError(f"heterogeneity p must be in [0, 1], got {self.heterogeneity}")
         if self.samples_per_client < 1:
             raise ConfigError(
                 f"samples_per_client must be >= 1, got {self.samples_per_client}"

@@ -15,31 +15,15 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import datagen, federation
 from .datagen import LabeledDataset, PartitionSpec
-from .errors import ConfigError, FedclustError
-from .federation import ALGORITHMS, RunConfig
+from .errors import ConfigError, FedclustError, FormatError
+from .federation import RunConfig
 
 SWEEP_AXES = ("none", "p", "lambda", "disconnection_rate")
-
-CSV_COLUMNS = [
-    "algorithm",
-    "p",
-    "lambda",
-    "disconnection_rate",
-    "seed",
-    "round",
-    "loss_total",
-    "loss_contrastive",
-    "loss_regularizer",
-    "nmi",
-    "kappa",
-    "ch_score",
-    "final",
-]
 
 
 @dataclass
@@ -59,34 +43,46 @@ class ResultRow:
     final: bool
 
 
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(ResultRow)]
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# The parser of each CSV column, by the column's ResultRow type.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "float | None": lambda text: None if text == "" else float(text)}
+
+SUMMARY_COLUMNS = ("algorithm", "p", "lambda", "disconnection_rate", "runs",
+                   "nmi_mean", "nmi_std", "kappa_mean", "kappa_std")
+
+
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
-
-def _check_range(lo=None, hi=None, lo_open=False, hi_open=False):
-    def check(v):
-        if lo is not None and (v <= lo if lo_open else v < lo):
-            return f"must be {'>' if lo_open else '>='} {lo}"
-        if hi is not None and (v >= hi if hi_open else v > hi):
-            return f"must be {'<' if hi_open else '<='} {hi}"
-        return None
-
-    return check
-
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v):
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max  # a larger int has no float value
+    return isinstance(v, float) and math.isfinite(v)
 
 
 class _Field:
-    def __init__(self, default, kind, check=None, choices=None):
+    """A config key's JSON kind and default. Range checks on run and
+    partition keys belong to RunConfig and PartitionSpec (see `_cell`);
+    `lo` bounds the other numeric keys."""
+
+    def __init__(self, default, kind, lo=None, choices=None):
         self.default = default
         self.kind = kind
-        self.check = check
+        self.lo = lo
         self.choices = choices
 
     def validate(self, key, value):
@@ -108,8 +104,8 @@ class _Field:
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{key}: expected a string or null, got {value!r}")
         elif kind == "int_list":
-            if not isinstance(value, list) or not all(_is_int(v) and v >= 1 for v in value):
-                raise ConfigError(f"{key}: expected a list of positive integers, got {value!r}")
+            if not isinstance(value, list) or not all(_is_int(v) for v in value):
+                raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
         elif kind == "number_list":
             if not isinstance(value, list) or not all(_is_number(v) for v in value):
                 raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
@@ -118,42 +114,40 @@ class _Field:
             raise AssertionError(kind)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{key}: expected one of {self.choices}, got {value!r}")
-        if self.check is not None and value is not None:
-            problem = self.check(value)
-            if problem:
-                raise ConfigError(f"{key}: {problem}, got {value!r}")
+        if self.lo is not None and value < self.lo:
+            raise ConfigError(f"{key}: must be >= {self.lo}, got {value!r}")
         return value
 
 
 SCHEMA: dict[str, dict[str, _Field]] = {
     "dataset": {
         "type": _Field("synthetic", "str", choices=("synthetic", "fvd")),
-        "components": _Field(10, "int", _check_range(lo=1)),
-        "per_component": _Field(500, "int", _check_range(lo=1)),
-        "dim": _Field(32, "int", _check_range(lo=1)),
-        "separation": _Field(3.0, "number", _check_range(lo=0.0)),
+        "components": _Field(10, "int", lo=1),
+        "per_component": _Field(500, "int", lo=1),
+        "dim": _Field(32, "int", lo=1),
+        "separation": _Field(3.0, "number", lo=0.0),
         "seed": _Field(7, "int"),
         "path": _Field(None, "str_or_null"),
     },
     "run": {
-        "algorithm": _Field("CCFC", "str", choices=ALGORITHMS),
-        "k": _Field(None, "int_or_null", _check_range(lo=1)),
-        "rounds": _Field(20, "int", _check_range(lo=0)),
-        "local_epochs": _Field(2, "int", _check_range(lo=0)),
-        "batch_max": _Field(16, "int", _check_range(lo=2)),
-        "lambda": _Field(0.1, "number", _check_range(lo=0.0)),
-        "lr": _Field(1e-3, "number", _check_range(lo=0.0, lo_open=True)),
-        "disconnection_rate": _Field(0.0, "number", _check_range(lo=0.0, hi=1.0, hi_open=True)),
-        "latent_dim": _Field(32, "int", _check_range(lo=1)),
-        "encoder_hidden": _Field([128], "int_list"),
-        "predictor_hidden": _Field([64], "int_list"),
-        "augment_strength": _Field(0.5, "number", _check_range(lo=0.0)),
-        "kmeans_restarts": _Field(10, "int", _check_range(lo=1)),
+        "algorithm": _Field("CCFC", "str"),
+        "k": _Field(None, "int_or_null"),
+        "rounds": _Field(RunConfig.rounds, "int"),
+        "local_epochs": _Field(RunConfig.local_epochs, "int"),
+        "batch_max": _Field(RunConfig.batch_max, "int"),
+        "lambda": _Field(RunConfig.lam, "number"),
+        "lr": _Field(RunConfig.lr, "number"),
+        "disconnection_rate": _Field(RunConfig.disconnection_rate, "number"),
+        "latent_dim": _Field(RunConfig.latent_dim, "int"),
+        "encoder_hidden": _Field(RunConfig.encoder_hidden, "int_list"),
+        "predictor_hidden": _Field(RunConfig.predictor_hidden, "int_list"),
+        "augment_strength": _Field(RunConfig.augment_strength, "number"),
+        "kmeans_restarts": _Field(RunConfig.kmeans_restarts, "int"),
     },
     "partition": {
-        "num_clients": _Field(None, "int_or_null", _check_range(lo=1)),
-        "heterogeneity": _Field(0.0, "number", _check_range(lo=0.0, hi=1.0)),
-        "samples_per_client": _Field(None, "int_or_null", _check_range(lo=1)),
+        "num_clients": _Field(None, "int_or_null"),
+        "heterogeneity": _Field(0.0, "number"),
+        "samples_per_client": _Field(None, "int_or_null"),
     },
     "sweep": {
         "axis": _Field("none", "str", choices=SWEEP_AXES),
@@ -162,7 +156,7 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 }
 
 TOP_FIELDS: dict[str, _Field] = {
-    "repeats": _Field(1, "int", _check_range(lo=1)),
+    "repeats": _Field(1, "int", lo=1),
     "seed": _Field(0, "int"),
 }
 
@@ -239,23 +233,54 @@ def parse_config(source=None, overrides: list[str] | None = None) -> ExperimentC
     for key, fld in TOP_FIELDS.items():
         data[key] = fld.validate(key, raw[key]) if key in raw else fld.default
 
+    cfg = ExperimentConfig(data)
+    _cell(cfg, None)  # the sections' own values, which a sweep overrides
     if data["dataset"]["type"] == "fvd" and not data["dataset"]["path"]:
         raise ConfigError("dataset.path: required when dataset.type is 'fvd'")
     if data["sweep"]["axis"] != "none" and not data["sweep"]["values"]:
         raise ConfigError("sweep.values: must be non-empty when sweep.axis is set")
-    for v in data["sweep"]["values"]:
-        if data["sweep"]["axis"] == "p" and not 0.0 <= v <= 1.0:
-            raise ConfigError(f"sweep.values: p must be in [0, 1], got {v}")
-        if data["sweep"]["axis"] == "lambda" and v < 0:
-            raise ConfigError(f"sweep.values: lambda must be >= 0, got {v}")
-        if data["sweep"]["axis"] == "disconnection_rate" and not 0.0 <= v < 1.0:
-            raise ConfigError(f"sweep.values: disconnection_rate must be in [0, 1), got {v}")
-    return ExperimentConfig(data)
+    for value in _sweep_values(cfg):
+        try:
+            _cell(cfg, value)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Experiment execution
 # ---------------------------------------------------------------------------
+
+def _sweep_values(cfg: ExperimentConfig) -> list:
+    """The swept key's values in grid order; [None] when nothing is swept."""
+    return cfg["sweep"]["values"] if cfg["sweep"]["axis"] != "none" else [None]
+
+
+def _cell(cfg: ExperimentConfig, value, seed: int = 0, **sizes) -> tuple[RunConfig, PartitionSpec]:
+    """One grid cell's validated RunConfig and PartitionSpec: the run and
+    partition sections with the swept key set to `value` (None keeps the
+    sections' own). `sizes` fills the keys left null (k, num_clients,
+    samples_per_client); a missing one stands in as 1, which is enough to
+    range-check the rest before any dataset is loaded."""
+    run, part = dict(cfg["run"]), dict(cfg["partition"])
+    for section in (run, part):
+        for key, v in section.items():
+            if v is None:
+                section[key] = sizes.get(key, 1)
+    if value is not None:
+        axis = cfg["sweep"]["axis"]
+        if axis == "p":
+            part["heterogeneity"] = value
+        else:
+            run[axis] = value
+    spec = PartitionSpec(part["num_clients"], part["heterogeneity"], part["samples_per_client"], seed)
+    run["lam"] = run.pop("lambda")
+    run["encoder_hidden"] = tuple(run["encoder_hidden"])
+    run["predictor_hidden"] = tuple(run["predictor_hidden"])
+    run_cfg = RunConfig(**run, seed=seed)
+    run_cfg.validate()
+    return run_cfg, spec
+
 
 def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     ds = cfg["dataset"]
@@ -266,34 +291,16 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     return datagen.load_fvd(ds["path"])
 
 
-def _run_cell(cfg, dataset, p, lam, rate, seed, log):
-    part = cfg["partition"]
+def _run_cell(cfg, dataset, value, seed, log):
     num_classes = dataset.num_classes if dataset.labels is not None else None
-    m = part["num_clients"] or num_classes
+    m = cfg["partition"]["num_clients"] or num_classes
     if m is None:
         raise ConfigError("partition.num_clients: required for unlabeled datasets")
-    s = part["samples_per_client"] or dataset.n // m
     k = cfg["run"]["k"] or num_classes
     if k is None:
         raise ConfigError("run.k: required for unlabeled datasets")
-
-    split = datagen.partition(dataset, PartitionSpec(m, p, s, seed=seed))
-    run_cfg = RunConfig(
-        algorithm=cfg["run"]["algorithm"],
-        k=k,
-        rounds=cfg["run"]["rounds"],
-        local_epochs=cfg["run"]["local_epochs"],
-        batch_max=cfg["run"]["batch_max"],
-        lam=lam,
-        lr=cfg["run"]["lr"],
-        seed=seed,
-        disconnection_rate=rate,
-        latent_dim=cfg["run"]["latent_dim"],
-        encoder_hidden=tuple(cfg["run"]["encoder_hidden"]),
-        predictor_hidden=tuple(cfg["run"]["predictor_hidden"]),
-        augment_strength=cfg["run"]["augment_strength"],
-        kmeans_restarts=cfg["run"]["kmeans_restarts"],
-    )
+    run_cfg, spec = _cell(cfg, value, seed, k=k, num_clients=m, samples_per_client=dataset.n // m)
+    p, lam, rate = spec.heterogeneity, run_cfg.lam, run_cfg.disconnection_rate
     tag = f"[{run_cfg.algorithm} p={p:g} lambda={lam:g} rate={rate:g} seed={seed}]"
 
     def progress(record):
@@ -302,23 +309,17 @@ def _run_cell(cfg, dataset, p, lam, rate, seed, log):
             f" nmi={record.nmi if record.nmi is not None else 'n/a'}"
         )
 
+    split = datagen.partition(dataset, spec)
     result = federation.run(run_cfg, dataset, split, progress=progress)
     rows = [
         ResultRow(
             run_cfg.algorithm, p, lam, rate, seed, rec.round,
             rec.loss_total, rec.loss_contrastive, rec.loss_regularizer,
-            rec.nmi, rec.kappa, rec.ch, final=False,
+            rec.nmi, rec.kappa, rec.ch, final=i == len(result.records),
         )
-        for rec in result.records
+        for i, rec in enumerate([*result.records, result.final])
     ]
     fin = result.final
-    rows.append(
-        ResultRow(
-            run_cfg.algorithm, p, lam, rate, seed, fin.round,
-            fin.loss_total, fin.loss_contrastive, fin.loss_regularizer,
-            fin.nmi, fin.kappa, fin.ch, final=True,
-        )
-    )
     log(f"{tag} final nmi={fin.nmi if fin.nmi is not None else 'n/a'}")
     return rows
 
@@ -328,25 +329,12 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> list[ResultRow]:
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr, flush=True)
     dataset = _load_dataset(cfg)
-    axis = cfg["sweep"]["axis"]
-    values = cfg["sweep"]["values"] if axis != "none" else [None]
-    base_seed = cfg["seed"]
-
-    cells = []
-    for value in values:
-        p = cfg["partition"]["heterogeneity"]
-        lam = cfg["run"]["lambda"]
-        rate = cfg["run"]["disconnection_rate"]
-        if axis == "p":
-            p = value
-        elif axis == "lambda":
-            lam = value
-        elif axis == "disconnection_rate":
-            rate = value
-        for rep in range(cfg["repeats"]):
-            cells.append((p, lam, rate, base_seed + rep))
-
-    return [row for cell in cells for row in _run_cell(cfg, dataset, *cell, log)]
+    return [
+        row
+        for value in _sweep_values(cfg)
+        for rep in range(cfg["repeats"])
+        for row in _run_cell(cfg, dataset, value, cfg["seed"] + rep, log)
+    ]
 
 
 def _format_cell(value) -> str:
@@ -368,26 +356,18 @@ def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwri
     for path in (csv_path, json_path):
         if path.exists() and not overwrite:
             raise ConfigError(f"{path} exists; pass --overwrite to replace it")
+    records = [dict(zip(CSV_COLUMNS, astuple(row))) for row in rows]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            d = asdict(row)
-            d["lambda"] = d.pop("lam")
-            writer.writerow([_format_cell(d[col]) for col in CSV_COLUMNS])
-    payload = {"config": cfg.to_json(), "rows": []}
-    for row in rows:
-        d = asdict(row)
-        d["lambda"] = d.pop("lam")
-        payload["rows"].append({col: d[col] for col in CSV_COLUMNS})
+        writer.writerows([_format_cell(v) for v in rec.values()] for rec in records)
+    payload = {"config": cfg.to_json(), "rows": records}
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    def parse_float(text):
-        return None if text == "" else float(text)
-
+    """Rows of a results.csv; a short row or a bad value raises FormatError."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -395,24 +375,13 @@ def read_results_csv(path) -> list[ResultRow]:
         if header != CSV_COLUMNS:
             raise ConfigError(f"{path}: unexpected CSV header {header}")
         for rec in reader:
-            vals = dict(zip(CSV_COLUMNS, rec))
-            rows.append(
-                ResultRow(
-                    vals["algorithm"],
-                    float(vals["p"]),
-                    float(vals["lambda"]),
-                    float(vals["disconnection_rate"]),
-                    int(vals["seed"]),
-                    int(vals["round"]),
-                    parse_float(vals["loss_total"]),
-                    parse_float(vals["loss_contrastive"]),
-                    parse_float(vals["loss_regularizer"]),
-                    parse_float(vals["nmi"]),
-                    parse_float(vals["kappa"]),
-                    parse_float(vals["ch_score"]),
-                    vals["final"] == "true",
-                )
-            )
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != len(CSV_COLUMNS):
+                raise FormatError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+            try:
+                rows.append(ResultRow(*(_PARSERS[f.type](text) for f, text in zip(fields(ResultRow), rec))))
+            except ValueError as exc:
+                raise FormatError(f"{where}: {exc}") from None
     return rows
 
 
@@ -435,21 +404,8 @@ def summarize(csv_path) -> list[dict]:
     table = []
     for key in sorted(groups):
         cell = groups[key]
-        nmi_mean, nmi_std = agg([r.nmi for r in cell])
-        kappa_mean, kappa_std = agg([r.kappa for r in cell])
-        table.append(
-            {
-                "algorithm": key[0],
-                "p": key[1],
-                "lambda": key[2],
-                "disconnection_rate": key[3],
-                "runs": len(cell),
-                "nmi_mean": nmi_mean,
-                "nmi_std": nmi_std,
-                "kappa_mean": kappa_mean,
-                "kappa_std": kappa_std,
-            }
-        )
+        stats = (*agg([r.nmi for r in cell]), *agg([r.kappa for r in cell]))
+        table.append(dict(zip(SUMMARY_COLUMNS, (*key, len(cell), *stats))))
     return table
 
 
@@ -474,11 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_make = sub.add_parser("make-data", help="emit a synthetic Gaussian-mixture FVD file")
     p_make.add_argument("--out", required=True)
-    p_make.add_argument("--components", type=int, default=10)
-    p_make.add_argument("--per-component", type=int, default=500)
-    p_make.add_argument("--dim", type=int, default=32)
-    p_make.add_argument("--separation", type=float, default=3.0)
-    p_make.add_argument("--seed", type=int, default=7)
+    for key, kind in (("components", int), ("per_component", int), ("dim", int),
+                      ("separation", float), ("seed", int)):
+        p_make.add_argument("--" + key.replace("_", "-"), type=kind,
+                            default=SCHEMA["dataset"][key].default)
     p_make.add_argument("--overwrite", action="store_true")
 
     p_conv = sub.add_parser("convert", help="convert a CSV dataset to FVD")
@@ -499,14 +454,9 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     table = summarize(args.input)
     writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["algorithm", "p", "lambda", "disconnection_rate", "runs",
-         "nmi_mean", "nmi_std", "kappa_mean", "kappa_std"]
-    )
+    writer.writerow(SUMMARY_COLUMNS)
     for row in table:
-        writer.writerow([_format_cell(row[k]) for k in
-                         ("algorithm", "p", "lambda", "disconnection_rate", "runs",
-                          "nmi_mean", "nmi_std", "kappa_mean", "kappa_std")])
+        writer.writerow([_format_cell(row[k]) for k in SUMMARY_COLUMNS])
     return 0
 
 

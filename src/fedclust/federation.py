@@ -87,6 +87,15 @@ class RunConfig:
             raise ConfigError(
                 f"disconnection_rate must be in [0, 1), got {self.disconnection_rate}"
             )
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        for name in ("encoder_hidden", "predictor_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
+        if self.augment_strength < 0:
+            raise ConfigError(f"augment_strength must be >= 0, got {self.augment_strength}")
+        if self.kmeans_restarts < 1:
+            raise ConfigError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
 
     @property
     def standalone(self) -> bool:
@@ -214,7 +223,7 @@ def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None
 def local_round(
     client: ClientState,
     global_snapshot: SiameseModel | None,
-    global_centroids: CentroidSet,
+    global_centroids: CentroidSet | None,
     config: RunConfig,
     round_index: int,
     raw_space: bool = False,
@@ -411,8 +420,10 @@ def run(
     cluster-contrastive variants then run k-FED: each connected client mines
     k centroids on its raw features and the server fuses them, exactly as
     the KFED baseline does (standalone clients keep their own local raw
-    centroids instead). Otherwise, and in a zero-round run, clients mine
-    centroids from the initial model's latents and the server fuses them.
+    centroids instead). A zero-round run instead has clients mine centroids
+    from the initial model's latents and the server fuse them, which is what
+    it reports. The sample-contrastive variants group nothing, so with any
+    round to run they start without centroids.
 
     Each round then runs broadcast, local training, and aggregation. The
     first R = ceil(rounds / 4) rounds group each client's data against the
@@ -462,8 +473,9 @@ def run(
     ]
     connected = [c for c in clients if c.connected]
 
-    # Round-1 grouping targets. With no k-FED bootstrap they are the initial
-    # model's latent clustering, which is also what a zero-round run reports.
+    # Round-1 grouping targets. A zero-round run reports the initial model's
+    # latent clustering instead; sample-contrastive local rounds read no
+    # targets, and round 1 replaces the centroids before any evaluation.
     raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
     raw_targets: dict[int, CentroidSet] = {}
     if raw_rounds:
@@ -473,7 +485,7 @@ def run(
         else:
             fused = _kfed_fuse(config, raw_updates, m)
             raw_targets = {u.client_id: fused for u in raw_updates}
-    else:
+    elif config.rounds == 0:
         for client in connected:
             latents = diffnet.forward_encoder(client.model, client.features)
             cset, _ = lloyd(

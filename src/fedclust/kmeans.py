@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffnet import as_matrix
-from .errors import NumericError, ShapeError, SizeError
+from .errors import ContractError, NumericError, ShapeError, SizeError
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOL = 1e-6
@@ -206,10 +206,11 @@ def lloyd(
     restarts: int = DEFAULT_RESTARTS,
 ) -> tuple[CentroidSet, Assignment]:
     """Best of `restarts` Lloyd runs (seeds seed+0 .. seed+restarts-1), lowest inertia."""
+    if restarts < 1:
+        raise ContractError(f"restarts must be >= 1, got {restarts}")
     best: tuple[CentroidSet, Assignment] | None = None
     for r in range(restarts):
         cset, assignment, _ = lloyd_trace(points, k, seed + r, max_iters, tol)
         if best is None or assignment.inertia < best[1].inertia:
             best = (cset, assignment)
-    assert best is not None
     return best

@@ -4,14 +4,13 @@ Calinski-Harabasz score.
 Conventions that shift absolute values and are therefore pinned here:
 NMI normalizes mutual information by the geometric mean of the two label
 entropies, computed with natural logarithms. Kappa first matches predicted
-clusters to true classes by maximizing the matched count (enumeration for
-small tables, Hungarian assignment otherwise; matched-count ties resolve
-toward the higher kappa), then applies the standard chance correction.
+clusters to true classes by maximizing the matched count with one Hungarian
+assignment (matched-count ties resolve toward the higher kappa), then
+applies the standard chance correction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .diffnet import as_matrix
 from .errors import ConfigError, MetricError, ShapeError
 
 KAPPA_MAX_CLUSTERS = 64
-_ENUMERATION_LIMIT = 6
 
 
 @dataclass
@@ -93,7 +91,14 @@ def _kappa_for_mapping(counts: np.ndarray, mapping: np.ndarray, n: int) -> float
 
 
 def kappa(pred_labels, true_labels) -> float:
-    """Chance-corrected agreement after optimal cluster-to-class matching."""
+    """Chance-corrected agreement after optimal cluster-to-class matching.
+
+    The matching maximizes (n*n + 1) * matched - n*n * p_e: one more matched
+    row outweighs any difference in p_e, so it takes the largest matched
+    count and, among those, the smallest p_e, which is the largest kappa.
+    Where (n*n + 1) * n reaches 2**53 that score is inexact in float64, so
+    the matching uses the matched count alone and leaves its ties unresolved.
+    """
     table = contingency(pred_labels, true_labels)
     kp, kt = table.counts.shape
     if kp > KAPPA_MAX_CLUSTERS or kt > KAPPA_MAX_CLUSTERS:
@@ -104,20 +109,10 @@ def kappa(pred_labels, true_labels) -> float:
     counts = np.zeros((q, q), dtype=np.int64)
     counts[:kp, :kt] = table.counts
     n = table.n
-
-    if q <= _ENUMERATION_LIMIT:
-        best_matched = -1
-        best_kappa = -math.inf
-        for perm in itertools.permutations(range(q)):
-            mapping = np.array(perm, dtype=np.int64)
-            matched = int(counts[np.arange(q), mapping].sum())
-            if matched < best_matched:
-                continue
-            value = _kappa_for_mapping(counts, mapping, n)
-            if matched > best_matched or value > best_kappa:
-                best_matched, best_kappa = matched, value
-        return best_kappa
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    score = counts
+    if (n * n + 1) * n < 2**53:
+        score = (n * n + 1) * counts - np.outer(counts.sum(axis=1), counts.sum(axis=0))
+    rows, cols = linear_sum_assignment(score, maximize=True)
     mapping = np.empty(q, dtype=np.int64)
     mapping[rows] = cols
     return _kappa_for_mapping(counts, mapping, n)

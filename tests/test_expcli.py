@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedclust import expcli
-from fedclust.errors import ConfigError
+from fedclust.errors import ConfigError, FormatError
 from fedclust.expcli import (
     ExperimentConfig,
     ResultRow,
@@ -86,6 +88,39 @@ class TestParseConfig:
             parse_config({"sweep": {"axis": "p", "values": [0.0, 1.5]}})
         cfg = parse_config({"sweep": {"axis": "lambda", "values": [0.0, 0.1]}})
         assert cfg["sweep"]["values"] == [0.0, 0.1]
+
+    def test_swept_key_keeps_its_own_range_check(self):
+        # The sweep overrides the section's value in every cell, yet an
+        # out-of-range section value is still a config error.
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config({"run": {"lambda": -1}, "sweep": {"axis": "lambda", "values": [0.1]}})
+        with pytest.raises(ConfigError, match="heterogeneity"):
+            parse_config(
+                {"partition": {"heterogeneity": 2}, "sweep": {"axis": "p", "values": [0.5]}}
+            )
+
+    @pytest.mark.parametrize("axis, value", [("lambda", -0.5), ("disconnection_rate", 1.0)])
+    def test_out_of_range_sweep_value_rejected(self, axis, value):
+        with pytest.raises(ConfigError, match=f"sweep.values: {axis}"):
+            parse_config({"sweep": {"axis": axis, "values": [0.0, value]}})
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("run.algorithm", "KMEANS"), ("run.k", 0), ("run.rounds", -1),
+            ("run.local_epochs", -1), ("run.batch_max", 1), ("run.lambda", -0.1),
+            ("run.lr", 0), ("run.disconnection_rate", 1), ("run.latent_dim", 0),
+            ("run.encoder_hidden", [0]), ("run.predictor_hidden", [4, 0]),
+            ("run.augment_strength", -1), ("run.kmeans_restarts", 0),
+            ("partition.num_clients", 0), ("partition.heterogeneity", -0.5),
+            ("partition.samples_per_client", 0), ("dataset.components", 0),
+            ("dataset.per_component", 0), ("dataset.dim", 0), ("dataset.separation", -1),
+            ("repeats", 0),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, dotted, value):
+        with pytest.raises(ConfigError, match=dotted.split(".")[-1]):
+            parse_config(None, overrides=[f"{dotted}={json.dumps(value)}"])
 
     def test_fvd_requires_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):
@@ -193,6 +228,25 @@ class TestSummarize:
         assert table[0]["nmi_mean"] == pytest.approx(0.5)
         assert table[0]["nmi_std"] == 0.0
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fields: fields[:-1],
+            lambda fields: [fields[0], "abc", *fields[2:]],
+            lambda fields: [*fields[:-1], "maybe"],
+        ],
+        ids=["short-row", "p-abc", "final-maybe"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, edit):
+        cfg = parse_config(SMALL)
+        csv_path, _ = write_results(self.make_rows(), cfg, tmp_path / "m", overwrite=False)
+        lines = csv_path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"results\.csv line 3"):
+            read_results_csv(csv_path)
+        assert main(["summarize", "--in", str(csv_path)]) == 3
+
     def test_schema_drift_rejected(self, tmp_path):
         path = tmp_path / "drift.csv"
         path.write_text("algorithm,whatever\nCCFC,1\n")
@@ -279,3 +333,40 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 3
+
+
+# Every top-level key, section and section key, dotted.
+DOTTED_KEYS = [
+    *expcli.SCHEMA,
+    *expcli.TOP_FIELDS,
+    *(f"{section}.{key}" for section, sub in expcli.SCHEMA.items() for key in sub),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _parses_or_config_error(source=None, overrides=None):
+    try:
+        parse_config(source, overrides)
+    except ConfigError:
+        pass
+
+
+@PROPERTY
+@given(st.sampled_from(DOTTED_KEYS), JSON_VALUES)
+@example("run.lambda", 10**400)
+@example("sweep.values", [0.5, -(10**400)])
+def test_any_value_at_any_key_parses_or_raises_config_error(dotted, value):
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    _parses_or_config_error(value)
+
+
+@PROPERTY
+@given(st.sampled_from(DOTTED_KEYS) | st.text(max_size=12), st.text(max_size=12) | JSON_VALUES.map(json.dumps))
+def test_any_override_parses_or_raises_config_error(dotted, text):
+    _parses_or_config_error(overrides=[f"{dotted}={text}"])

@@ -65,6 +65,19 @@ def make_clients(ds, split, config):
     ]
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kmeans_restarts", 0), ("latent_dim", 0), ("encoder_hidden", (0,)),
+            ("predictor_hidden", (8, 0)), ("augment_strength", -1.0),
+        ],
+    )
+    def test_validate_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value}).validate()
+
+
 class TestDisseminate:
     def test_connected_clients_get_deep_copies(self):
         ds, split = blob_fixture()

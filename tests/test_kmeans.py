@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fedclust.errors import ShapeError, SizeError
+from fedclust.errors import ContractError, ShapeError, SizeError
 from fedclust.kmeans import (
     Assignment,
     CentroidSet,
@@ -157,3 +157,7 @@ class TestLloyd:
     def test_size_error(self):
         with pytest.raises(SizeError):
             lloyd(np.zeros((2, 2)), 5, seed=0)
+
+    def test_restarts_below_one_rejected(self):
+        with pytest.raises(ContractError, match="restarts"):
+            lloyd(np.zeros((4, 2)), 2, seed=0, restarts=0)

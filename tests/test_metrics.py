@@ -123,6 +123,12 @@ class TestKappa:
             a = _compact(rng.integers(0, 4, size=n))
             b = _compact(rng.integers(0, 4, size=n))
             assert metrics.kappa(a, b) == pytest.approx(oracle_kappa(a, b), abs=1e-12)
+        # Seven labels: tables where matched-count ties are common.
+        for _ in range(20):
+            n = int(rng.integers(7, 30))
+            a = _compact(rng.integers(0, 7, size=n))
+            b = _compact(rng.integers(0, 7, size=n))
+            assert metrics.kappa(a, b) == pytest.approx(oracle_kappa(a, b), abs=1e-12)
 
     def test_kappa_at_most_one(self):
         rng = np.random.default_rng(3)
@@ -139,8 +145,8 @@ class TestKappa:
         assert got == pytest.approx(oracle_kappa([0, 0, 1, 1], [0, 1, 2, 3]), abs=1e-12)
 
     def test_hungarian_path_agrees_with_enumeration(self):
-        # 8 clusters exceeds the enumeration limit; verify against a labeling
-        # with an unambiguous optimal matching.
+        # 8 clusters, past what the brute-force oracle enumerates quickly;
+        # verify against a labeling with an unambiguous optimal matching.
         rng = np.random.default_rng(4)
         true = np.repeat(np.arange(8), 10)
         pred = true.copy()
