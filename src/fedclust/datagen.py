@@ -229,26 +229,35 @@ def load_fvd(path) -> LabeledDataset:
     return LabeledDataset(features, labels, name=Path(path).stem)
 
 
-def load_csv(path) -> LabeledDataset:
-    """Read a numeric CSV with a header row; a column named 'label' is optional."""
+def csv_records(path) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of every record of a CSV text file; bytes that
+    do not decode raise FormatError naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty CSV file") from None
-        label_col = header.index("label") if "label" in header else None
-        feature_cols = [i for i in range(len(header)) if i != label_col]
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(row[i]) for i in feature_cols])
-                if label_col is not None:
-                    labels.append(int(row[label_col]))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
+            return [(reader.line_num, record) for record in reader]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not {fh.encoding} text: {exc.reason}") from None
+
+
+def load_csv(path) -> LabeledDataset:
+    """Read a numeric CSV with a header row; a column named 'label' is optional."""
+    records = csv_records(path)
+    if not records:
+        raise FormatError("empty CSV file")
+    header = records[0][1]
+    label_col = header.index("label") if "label" in header else None
+    feature_cols = [i for i in range(len(header)) if i != label_col]
+    rows, labels = [], []
+    for lineno, row in records[1:]:
+        if len(row) != len(header):
+            raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(row[i]) for i in feature_cols])
+            if label_col is not None:
+                labels.append(int(row[label_col]))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if not rows:
         raise FormatError("CSV has a header but no data rows")
     return LabeledDataset(

@@ -369,19 +369,18 @@ def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwri
 def read_results_csv(path) -> list[ResultRow]:
     """Rows of a results.csv; a short row or a bad value raises FormatError."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected CSV header {header}")
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(rec) != len(CSV_COLUMNS):
-                raise FormatError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
-            try:
-                rows.append(ResultRow(*(_PARSERS[f.type](text) for f, text in zip(fields(ResultRow), rec))))
-            except ValueError as exc:
-                raise FormatError(f"{where}: {exc}") from None
+    records = datagen.csv_records(path)
+    header = records[0][1] if records else None
+    if header != CSV_COLUMNS:
+        raise ConfigError(f"{path}: unexpected CSV header {header}")
+    for lineno, rec in records[1:]:
+        where = f"{path} line {lineno}"
+        if len(rec) != len(CSV_COLUMNS):
+            raise FormatError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+        try:
+            rows.append(ResultRow(*(_PARSERS[f.type](text) for f, text in zip(fields(ResultRow), rec))))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
     return rows
 
 

@@ -5,6 +5,14 @@ Random choices and floating-point reductions are driven through a canonical
 ordering of the points (lexicographic over coordinates), so results are
 equivariant under permutations of the input rows: same seed, permuted rows,
 permuted labels, bit-identical centroids.
+
+The restarts of one `lloyd` call run together: one seeding pass and one
+Lloyd loop over (restarts, k, dim) arrays. Restart r draws from its own
+generator seeded seed + r, in the order a lone run would, and every sum adds
+the same rows in the same order, so each restart ends bit-identical to
+`lloyd_trace` with seed + r. The equivariance above holds for the batch, and
+the returned assignment is a fixed point of `assign_nearest` on the returned
+centroids.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ class CentroidSet:
 
     def __post_init__(self):
         self.centroids = as_matrix(self.centroids, "centroids")
+        if self.centroids.shape[0] == 0:
+            raise ShapeError("centroids must have at least one row")
 
     @property
     def k(self) -> int:
@@ -52,23 +62,31 @@ class Assignment:
             raise NumericError("inertia must be finite")
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
+def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
+    diff = np.subtract(points[:, None, :], centroids[None, :, :], out=out)
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
 # The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
 # per-point |x|^2 term is dropped). Its labels may differ from the exact
 # differences on distance ties, so per-point inertia is always recomputed
-# from the differences for the assigned centroid only.
-def _argmin_labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = np.square(centroids).sum(axis=1)[None, :] - 2.0 * (points @ centroids.T)
-    return np.argmin(d2, axis=1)
+# from the differences for the assigned centroid only. Both take the
+# centroids of several runs stacked as (runs, k, dim), return (runs, n) and
+# work in `out`, a (runs, n, k) or (runs, n, dim) array.
+def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    d2 = np.matmul(points, centroids.transpose(0, 2, 1), out=out)
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(np.square(centroids).sum(axis=2)[:, None, :], d2, out=d2)
+    return np.argmin(d2, axis=2)
 
 
-def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    diff = points - centroids[labels]
-    return np.einsum("nd,nd->n", diff, diff)
+def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    k, dim = centroids.shape[1:]
+    flat = labels + k * np.arange(len(centroids))[:, None]
+    # The indices are in range; mode="clip" only spares `take` a buffered copy.
+    diff = np.take(centroids.reshape(-1, dim), flat, axis=0, out=out, mode="clip")
+    np.subtract(points, diff, out=diff)
+    return np.einsum("rnd,rnd->rn", diff, diff)
 
 
 def assign_nearest(points, centroids: CentroidSet) -> Assignment:
@@ -94,53 +112,155 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
+def _canonical(points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check `points` against k; return the canonical order and the rows in it."""
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    points = as_matrix(points, "points")
+    n, dim = points.shape
+    if dim < 1:
+        raise ShapeError("points must have at least one column")
+    if n < k:
+        raise SizeError(f"need at least k={k} points, got {n}")
+    order = _canonical_order(points)
+    return order, np.ascontiguousarray(points[order])
+
+
+def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
+    """Greedy D^2-weighted seeding, one run per seed, as a (runs, k, dim) array.
+
+    Each new centroid is the best of 2 + floor(ln k) weighted candidate draws
+    (the one minimizing the resulting potential; the first on ties). `work`
+    is a (runs, n, dim) scratch array.
+    """
+    n = canon.shape[0]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    runs = len(rngs)
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    # Exact rows |x - x_i|^2, computed once per drawn position i, at most
+    # `runs` rows at a time.
+    slot = np.full(n, -1, dtype=np.int64)
+    cache = np.empty((min(n, runs * (1 + (k - 1) * trials)), n))
+    filled = 0
+
+    def rows(positions: np.ndarray) -> np.ndarray:
+        nonlocal filled
+        new = np.unique(positions[slot[positions] < 0])
+        for lo in range(0, len(new), runs):
+            part = new[lo:lo + runs]
+            diff = np.subtract(canon, canon[part, None], out=work[:len(part)])
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=cache[filled:filled + len(part)])
+            slot[part] = np.arange(filled, filled + len(part))
+            filled += len(part)
+        return cache[slot[positions]]
+
+    chosen = np.empty((runs, k), dtype=np.int64)  # positions in canonical order
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = rows(chosen[:, 0])
+    for step in range(1, k):
+        total = d2.sum(axis=1)
+        live = np.flatnonzero(total > 0.0)
+        if len(live):
+            cum = np.cumsum(d2[live], axis=1)
+            candidates = np.empty((len(live), trials), dtype=np.int64)
+            for i, r in enumerate(live):
+                us = rngs[r].random(trials) * total[r]
+                candidates[i] = np.searchsorted(cum[i], us, side="right")
+            np.minimum(candidates, n - 1, out=candidates)
+            potentials = rows(candidates)
+            np.minimum(d2[live, None, :], potentials, out=potentials)
+            best = np.argmin(potentials.sum(axis=2), axis=1)
+            chosen[live, step] = candidates[np.arange(len(live)), best]
+        for r in np.flatnonzero(~(total > 0.0)):
+            # All remaining mass at zero distance (duplicates): pick uniformly
+            # among positions not yet chosen.
+            remaining = np.setdiff1d(np.arange(n), chosen[r, :step])
+            chosen[r, step] = remaining[rngs[r].integers(len(remaining))]
+        np.minimum(d2, rows(chosen[:, step]), out=d2)
+    return canon[chosen]
+
+
 def kmeanspp_init(points, k: int, seed: int) -> CentroidSet:
     """Greedy D^2-weighted seeding: each new centroid is the best of
     2 + floor(ln k) weighted candidate draws (the one minimizing the resulting
     potential). Deterministic per seed and permutation-equivariant."""
-    points = as_matrix(points, "points")
-    n = points.shape[0]
-    if n < k:
-        raise SizeError(f"need at least k={k} points, got {n}")
-    rng = np.random.default_rng(seed)
-    ordered = points[_canonical_order(points)]
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-
-    chosen = [int(rng.integers(n))]  # position in canonical order
-    d2 = np.square(ordered - ordered[chosen[0]]).sum(axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            cum = np.cumsum(d2)
-            us = rng.random(trials) * total
-            candidates = np.minimum(np.searchsorted(cum, us, side="right"), n - 1)
-            best_pos, best_potential = -1, np.inf
-            for pos in candidates:
-                potential = float(
-                    np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1)).sum()
-                )
-                if potential < best_potential:
-                    best_pos, best_potential = int(pos), potential
-            pos = best_pos
-        else:
-            # All remaining mass at zero distance (duplicates): pick uniformly
-            # among positions not yet chosen.
-            remaining = np.setdiff1d(np.arange(n), np.array(chosen, dtype=np.int64))
-            pos = int(remaining[rng.integers(len(remaining))])
-        chosen.append(pos)
-        d2 = np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1))
-    return CentroidSet(ordered[np.array(chosen, dtype=np.int64)].copy())
+    _, canon = _canonical(points, k)
+    return CentroidSet(_seed(canon, k, [seed], np.empty((1,) + canon.shape))[0])
 
 
-def _group_sums(sorted_points: np.ndarray, sorted_labels: np.ndarray, k: int):
-    """Per-cluster coordinate sums over canonically ordered rows."""
-    dim = sorted_points.shape[1]
-    sums = np.zeros((k, dim))
-    counts = np.bincount(sorted_labels, minlength=k)
-    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
-    if len(starts):
-        sums[sorted_labels[starts]] = np.add.reduceat(sorted_points, starts, axis=0)
-    return sums, counts
+def _group_sums(points: np.ndarray, groups: np.ndarray, count: int, out: np.ndarray):
+    """Per-group coordinate sums and sizes; `groups` labels the rows of
+    `points` tiled, each group's rows are summed in row order, and `out`
+    holds the tiled rows sorted by group."""
+    # The smallest integer type keeps the same stable order and lets numpy
+    # radix-sort the keys.
+    grouped = np.argsort(groups.astype(np.min_scalar_type(count)), kind="stable")
+    sorted_groups = groups[grouped]
+    sums = np.zeros((count, points.shape[1]))
+    sizes = np.bincount(groups, minlength=count)
+    starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
+    rows = np.take(points, grouped % len(points), axis=0, out=out, mode="clip")
+    sums[sorted_groups[starts]] = np.add.reduceat(rows, starts, axis=0)
+    return sums, sizes
+
+
+def _runs(
+    points, k: int, seeds, max_iters: int, tol: float
+) -> list[tuple[CentroidSet, Assignment, list[float]]]:
+    """One Lloyd run per seed, all stepped together. Returns, per seed, the
+    centroids, the assignment and the inertia at every assignment step."""
+    order, canon = _canonical(points, k)
+    n, dim = canon.shape
+    # Scratch arrays reused at every step: a fresh array of this size takes
+    # longer to fault in than the arithmetic done on it.
+    work = np.empty((len(seeds), n, dim))
+    scores = np.empty((len(seeds), n, k))
+    centroids = _seed(canon, k, seeds, work)
+    histories: list[list[float]] = [[] for _ in seeds]
+    active = np.arange(len(histories))  # runs that have not converged
+    for _ in range(max_iters):
+        current = centroids[active]
+        runs = len(active)
+        labels_c = _argmin_labels(canon, current, scores[:runs])
+        point_d2 = _assigned_sq_dists(canon, current, labels_c, work[:runs])
+        for r, inertia in zip(active, point_d2.sum(axis=1).tolist()):
+            histories[r].append(inertia)
+
+        groups = (labels_c + k * np.arange(runs)[:, None]).ravel()
+        sums, sizes = _group_sums(canon, groups, runs * k, work[:runs].reshape(runs * n, dim))
+        new_centroids = current.reshape(runs * k, dim).copy()
+        nonempty = sizes > 0
+        new_centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
+        new_centroids = new_centroids.reshape(runs, k, dim)
+        nonempty = nonempty.reshape(runs, k)
+        # Reseed each empty cluster to the point currently farthest from its
+        # assigned centroid; ties break toward canonical order.
+        for i in np.flatnonzero(~nonempty.all(axis=1)):
+            residual = point_d2[i].copy()
+            for c in np.flatnonzero(~nonempty[i]):
+                far = int(np.argmax(residual))
+                new_centroids[i, c] = canon[far]
+                residual[far] = 0.0
+        shift = np.sqrt(np.square(new_centroids - current).sum(axis=2)).max(axis=1)
+        centroids[active] = new_centroids
+        active = active[~(shift < tol)]
+        if not len(active):
+            break
+
+    # Final labeling uses the exact distance path so each returned assignment
+    # is a fixed point of assign_nearest on its centroids; one run at a time
+    # keeps the temporary at n x k x dim.
+    pairs = np.empty((n, k, dim))
+    labels_c = np.stack([np.argmin(_sq_dists(canon, cents, pairs), axis=1) for cents in centroids])
+    inertias = _assigned_sq_dists(canon, centroids, labels_c, work).sum(axis=1).tolist()
+    labels = np.empty_like(labels_c)
+    labels[:, order] = labels_c
+    out = []
+    for cents, run_labels, inertia, history in zip(centroids, labels, inertias, histories):
+        history.append(inertia)
+        out.append((CentroidSet(cents), Assignment(run_labels, inertia), history))
+    return out
 
 
 def lloyd_trace(
@@ -155,46 +275,7 @@ def lloyd_trace(
     All arithmetic runs on the canonically ordered copy of the points, so the
     outcome is bit-identical under any permutation of the input rows.
     """
-    points = as_matrix(points, "points")
-    n = points.shape[0]
-    if n < k:
-        raise SizeError(f"need at least k={k} points, got {n}")
-    order = _canonical_order(points)
-    canon = np.ascontiguousarray(points[order])
-
-    centroids = kmeanspp_init(points, k, seed).centroids
-    history: list[float] = []
-    for _ in range(max_iters):
-        labels_c = _argmin_labels(canon, centroids)
-        point_d2 = _assigned_sq_dists(canon, centroids, labels_c)
-        history.append(float(point_d2.sum()))
-
-        grouped = np.argsort(labels_c, kind="stable")
-        sums, counts = _group_sums(canon[grouped], labels_c[grouped], k)
-        new_centroids = centroids.copy()
-        nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        # Reseed each empty cluster to the point currently farthest from its
-        # assigned centroid; ties break toward canonical order.
-        if not nonempty.all():
-            residual = point_d2.copy()
-            for c in np.flatnonzero(~nonempty):
-                far = int(np.argmax(residual))
-                new_centroids[c] = canon[far]
-                residual[far] = 0.0
-        shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
-        centroids = new_centroids
-        if shift < tol:
-            break
-
-    # Final labeling uses the exact distance path so the returned assignment is
-    # a fixed point of assign_nearest on the returned centroids.
-    labels_c = np.argmin(_sq_dists(canon, centroids), axis=1)
-    inertia = float(_assigned_sq_dists(canon, centroids, labels_c).sum())
-    history.append(inertia)
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = labels_c
-    return CentroidSet(centroids), Assignment(labels, inertia), history
+    return _runs(points, k, [seed], max_iters, tol)[0]
 
 
 def lloyd(
@@ -205,12 +286,10 @@ def lloyd(
     tol: float = DEFAULT_TOL,
     restarts: int = DEFAULT_RESTARTS,
 ) -> tuple[CentroidSet, Assignment]:
-    """Best of `restarts` Lloyd runs (seeds seed+0 .. seed+restarts-1), lowest inertia."""
+    """Best of `restarts` Lloyd runs (seeds seed+0 .. seed+restarts-1), lowest
+    inertia; the first such run on ties."""
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
-    best: tuple[CentroidSet, Assignment] | None = None
-    for r in range(restarts):
-        cset, assignment, _ = lloyd_trace(points, k, seed + r, max_iters, tol)
-        if best is None or assignment.inertia < best[1].inertia:
-            best = (cset, assignment)
-    return best
+    runs = _runs(points, k, range(seed, seed + restarts), max_iters, tol)
+    cset, assignment, _ = min(runs, key=lambda run: run[1].inertia)
+    return cset, assignment

@@ -229,6 +229,18 @@ class TestCsvLoader:
         with pytest.raises(FormatError):
             load_csv(path)
 
+    # The row case puts the bad byte past the text reader's first 8 KiB
+    # chunk, so it is decoded only after many rows were read.
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_undecodable_byte_is_format_error(self, tmp_path, where):
+        path = tmp_path / "bad.csv"
+        good_rows = b"1.0,2.0\n" * (1 if where == "header" else 5000)
+        head = b"x,\xffy\n" if where == "header" else b"x,y\n"
+        tail = b"3.0,4.0\xff\n" if where == "row" else b""
+        path.write_bytes(head + good_rows + tail)
+        with pytest.raises(FormatError, match="bad.csv"):
+            load_csv(path)
+
 
 class TestLabeledDataset:
     def test_noncontiguous_labels_rejected(self):

@@ -247,6 +247,21 @@ class TestSummarize:
             read_results_csv(csv_path)
         assert main(["summarize", "--in", str(csv_path)]) == 3
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_undecodable_byte_rejected(self, tmp_path, where):
+        cfg = parse_config(SMALL)
+        csv_path, _ = write_results(self.make_rows() * 200, cfg, tmp_path / "u", overwrite=False)
+        data = csv_path.read_bytes()
+        if where == "header":
+            data = data.replace(b"algorithm", b"algo\xffrithm", 1)
+        else:  # the last row, past the text reader's first 8 KiB chunk
+            assert len(data) > 10_000
+            data = data[:-2] + b"\xff\n"
+        csv_path.write_bytes(data)
+        with pytest.raises(FormatError, match=r"results\.csv"):
+            read_results_csv(csv_path)
+        assert main(["summarize", "--in", str(csv_path)]) == 3
+
     def test_schema_drift_rejected(self, tmp_path):
         path = tmp_path / "drift.csv"
         path.write_text("algorithm,whatever\nCCFC,1\n")
@@ -325,6 +340,11 @@ class TestCli:
         ds = load_fvd(dst)
         assert ds.n == 3 and ds.dim == 2
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+
+    def test_convert_undecodable_csv(self, tmp_path):
+        src = tmp_path / "data.csv"
+        src.write_bytes(b"a,b,label\n1,2,0\n3,\xff4,1\n")
+        assert main(["convert", "--in", str(src), "--out", str(tmp_path / "data.fvd")]) == 3
 
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(

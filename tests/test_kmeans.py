@@ -1,6 +1,7 @@
-"""k-means checks against brute-force oracles."""
+"""k-means checks against brute-force oracles and a sequential oracle."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,137 @@ from fedclust.kmeans import (
     lloyd,
     lloyd_trace,
 )
+
+
+# ---------------------------------------------------------------------------
+# Sequential oracle: one seeding and one Lloyd loop per restart, written the
+# way `kmeans` ran before its restarts were batched. `hits` counts the rare
+# branches an instance went through, so tests can show they were exercised.
+# ---------------------------------------------------------------------------
+
+def _oracle_canonical_order(points):
+    first = points[:, 0]
+    order = np.argsort(first, kind="stable")
+    if np.all(np.diff(first[order]) > 0.0):
+        return order
+    return np.lexsort(points.T[::-1])
+
+
+def _oracle_sq_dists(points, centroids):
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _oracle_assigned_sq_dists(points, centroids, labels):
+    diff = points - centroids[labels]
+    return np.einsum("nd,nd->n", diff, diff)
+
+
+def oracle_kmeanspp(points, k, seed, hits):
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    ordered = points[_oracle_canonical_order(points)]
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    chosen = [int(rng.integers(n))]
+    d2 = np.square(ordered - ordered[chosen[0]]).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            cum = np.cumsum(d2)
+            us = rng.random(trials) * total
+            candidates = np.minimum(np.searchsorted(cum, us, side="right"), n - 1)
+            best_pos, best_potential = -1, np.inf
+            for pos in candidates:
+                potential = float(np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1)).sum())
+                if potential < best_potential:
+                    best_pos, best_potential = int(pos), potential
+                elif potential == best_potential and pos != best_pos:
+                    hits["potential_tie"] += 1
+            pos = best_pos
+        else:
+            hits["zero_mass"] += 1
+            remaining = np.setdiff1d(np.arange(n), np.array(chosen, dtype=np.int64))
+            pos = int(remaining[rng.integers(len(remaining))])
+        chosen.append(pos)
+        d2 = np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1))
+    return ordered[np.array(chosen, dtype=np.int64)].copy()
+
+
+def oracle_lloyd_trace(points, k, seed, max_iters=100, tol=1e-6, hits=None):
+    hits = Counter() if hits is None else hits
+    n = points.shape[0]
+    order = _oracle_canonical_order(points)
+    canon = np.ascontiguousarray(points[order])
+    centroids = oracle_kmeanspp(points, k, seed, hits)
+    history = []
+    for _ in range(max_iters):
+        d2 = np.square(centroids).sum(axis=1)[None, :] - 2.0 * (canon @ centroids.T)
+        labels_c = np.argmin(d2, axis=1)
+        point_d2 = _oracle_assigned_sq_dists(canon, centroids, labels_c)
+        history.append(float(point_d2.sum()))
+        grouped = np.argsort(labels_c, kind="stable")
+        sorted_points, sorted_labels = canon[grouped], labels_c[grouped]
+        sums = np.zeros((k, canon.shape[1]))
+        counts = np.bincount(sorted_labels, minlength=k)
+        starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
+        sums[sorted_labels[starts]] = np.add.reduceat(sorted_points, starts, axis=0)
+        new_centroids = centroids.copy()
+        nonempty = counts > 0
+        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if not nonempty.all():
+            hits["empty_cluster"] += 1
+            residual = point_d2.copy()
+            for c in np.flatnonzero(~nonempty):
+                far = int(np.argmax(residual))
+                new_centroids[c] = canon[far]
+                residual[far] = 0.0
+        shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < tol:
+            break
+    else:
+        hits["max_iters"] += 1
+    labels_c = np.argmin(_oracle_sq_dists(canon, centroids), axis=1)
+    inertia = float(_oracle_assigned_sq_dists(canon, centroids, labels_c).sum())
+    history.append(inertia)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = labels_c
+    return centroids, labels, inertia, history
+
+
+def oracle_lloyd(points, k, seed, max_iters=100, tol=1e-6, restarts=10, hits=None):
+    best = None
+    for r in range(restarts):
+        run = oracle_lloyd_trace(points, k, seed + r, max_iters, tol, hits)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best[:3]
+
+
+def assert_same_run(got_cents, got_assignment, want):
+    """Bitwise equality of centroid bytes, labels and inertia."""
+    want_cents, want_labels, want_inertia = want[:3]
+    assert got_cents.centroids.tobytes() == np.ascontiguousarray(want_cents).tobytes()
+    np.testing.assert_array_equal(got_assignment.labels, want_labels)
+    assert got_assignment.inertia == want_inertia
+
+
+def oracle_instance(rng, i):
+    """Points, k and run settings of the i-th oracle instance."""
+    n = int(rng.integers(1, 31))
+    dim = 1 if i % 7 == 0 else int(rng.integers(1, 9))
+    kind = i % 4
+    if kind == 0:  # anisotropic scales
+        points = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0, size=dim)
+    elif kind == 1:  # rounded coordinates: distance and potential ties
+        points = np.round(rng.normal(size=(n, dim)) * 1.5)
+    elif kind == 2:  # duplicate rows: the all-zero seeding branch
+        points = rng.normal(size=(1 + n // 3, dim))[rng.integers(0, 1 + n // 3, size=n)]
+    else:
+        points = rng.normal(size=(n, dim)) + 5.0 * rng.integers(0, 3, size=(n, 1))
+    k = 1 if i % 5 == 0 else n if i % 5 == 1 else int(rng.integers(1, n + 1))
+    max_iters = (1, 2, 100)[i % 3] if i % 11 == 0 else 100
+    return points, k, dict(seed=int(rng.integers(0, 10_000)), max_iters=max_iters, restarts=1 + i % 12)
 
 
 def exhaustive_best_inertia(points, k):
@@ -30,6 +162,71 @@ def exhaustive_best_inertia(points, k):
             inertia += float(np.square(members - members.mean(axis=0)).sum())
         best = min(best, inertia)
     return best
+
+
+class TestSequentialOracle:
+    """The batched restarts against one Python-level run per restart."""
+
+    def test_lloyd_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(20240)
+        hits = Counter()
+        for i in range(400):
+            points, k, run = oracle_instance(rng, i)
+            seed, max_iters, restarts = run["seed"], run["max_iters"], run["restarts"]
+            cents, assignment = lloyd(points, k, seed, max_iters=max_iters, restarts=restarts)
+            want = oracle_lloyd(points, k, seed, max_iters=max_iters, restarts=restarts, hits=hits)
+            assert_same_run(cents, assignment, want)
+        # Every rare branch was taken somewhere in the sweep.
+        assert min(hits[b] for b in ("zero_mass", "potential_tie", "empty_cluster", "max_iters")) > 0
+
+    def test_lloyd_trace_and_seeding_match_oracle_bitwise(self):
+        rng = np.random.default_rng(20241)
+        for i in range(400):
+            points, k, run = oracle_instance(rng, i)
+            seed, max_iters = run["seed"], run["max_iters"]
+            cents, assignment, history = lloyd_trace(points, k, seed, max_iters=max_iters)
+            want = oracle_lloyd_trace(points, k, seed, max_iters=max_iters)
+            assert_same_run(cents, assignment, want)
+            assert history == want[3]
+            seeded = kmeanspp_init(points, k, seed).centroids
+            assert seeded.tobytes() == oracle_kmeanspp(points, k, seed, Counter()).tobytes()
+
+    def test_empty_cluster_reseeded_in_the_loop(self):
+        # Three distinct rows for four clusters: seeding must put two
+        # centroids on one row, so Lloyd's first update finds a cluster
+        # without members and reseeds it. (In several hundred thousand random
+        # instances whose seeding never took the all-zero branch, no cluster
+        # ever emptied.)
+        pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3 + [[5.0, 5.0]] * 2)
+        hits = Counter()
+        for seed in range(10):
+            want = oracle_lloyd(pts, 4, seed, restarts=3, hits=hits)
+            assert_same_run(*lloyd(pts, 4, seed, restarts=3), want)
+        assert hits["zero_mass"] > 0 and hits["empty_cluster"] > 0
+
+    def test_restart_count_sweep(self):
+        pts = np.random.default_rng(11).normal(size=(40, 3))
+        for restarts in range(1, 13):
+            want = oracle_lloyd(pts, 4, 7, restarts=restarts)
+            assert_same_run(*lloyd(pts, 4, 7, restarts=restarts), want)
+
+
+class TestKernelBenchmarks:
+    """Per-kernel timings (pytest-benchmark), each checked against the oracle."""
+
+    def test_lloyd_500x32(self, benchmark):
+        pts = np.random.default_rng(500).normal(size=(500, 32))
+        cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=10)
+        assert_same_run(cents, assignment, oracle_lloyd(pts, 10, 0, restarts=10))
+
+    def test_assign_nearest_5000x32(self, benchmark):
+        rng = np.random.default_rng(5000)
+        pts = rng.normal(size=(5000, 32))
+        cents = rng.normal(size=(10, 32))
+        assignment = benchmark(assign_nearest, pts, CentroidSet(cents))
+        labels = np.argmin(_oracle_sq_dists(pts, cents), axis=1)
+        np.testing.assert_array_equal(assignment.labels, labels)
+        assert assignment.inertia == float(_oracle_assigned_sq_dists(pts, cents, labels).sum())
 
 
 class TestAssignNearest:
@@ -59,6 +256,10 @@ class TestAssignNearest:
         with pytest.raises(ShapeError):
             assign_nearest(np.zeros((3, 2)), CentroidSet(np.zeros((2, 3))))
 
+    def test_zero_centroids_rejected(self):
+        with pytest.raises(ShapeError, match="at least one row"):
+            CentroidSet(np.zeros((0, 3)))
+
 
 class TestKmeansppInit:
     def test_k_equals_n_is_permutation_of_points(self):
@@ -84,6 +285,11 @@ class TestKmeansppInit:
     def test_too_few_points(self):
         with pytest.raises(SizeError):
             kmeanspp_init(np.zeros((2, 2)), 3, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match="k must be >= 1"):
+            kmeanspp_init(np.zeros((4, 2)), k, seed=0)
 
 
 class TestLloyd:
@@ -161,3 +367,19 @@ class TestLloyd:
     def test_restarts_below_one_rejected(self):
         with pytest.raises(ContractError, match="restarts"):
             lloyd(np.zeros((4, 2)), 2, seed=0, restarts=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match="k must be >= 1"):
+            lloyd(np.zeros((4, 2)), k, seed=0)
+        with pytest.raises(ContractError, match="k must be >= 1"):
+            lloyd_trace(np.zeros((4, 2)), k, seed=0)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ShapeError, match="column"):
+            lloyd(np.zeros((3, 0)), 1, seed=0)
+
+    def test_k_checked_before_points(self):
+        # The k check runs before any work, even on points that fail their own checks.
+        with pytest.raises(ContractError):
+            lloyd(np.zeros(4), 0, seed=0)
