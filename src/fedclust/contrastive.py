@@ -7,6 +7,15 @@ cosine similarity between local and frozen-global predictions on the same
 inputs). Gradients w.r.t. network outputs are exact; parameter gradients are
 composed through diffnet.backward.
 
+The cluster term normalises every batch row in one pass, then takes each run
+of consecutive equal-size batches as (batches, size, dim) views: one batched
+matmul gives the cosines, and the leave-one-out row sums and the prediction
+gradient follow for the whole run. The results are bit-identical to a
+batch-by-batch evaluation. The pass works in place in the targets copy and
+the upstream gradient, and allocates at most _COS_CELLS cosines at a time,
+because at a training step's shape fresh (batches, size, dim) temporaries
+cost more to fault in than the arithmetic on them.
+
 The latent targets may be centred: combined_loss subtracts a constant centre c
 from every target, so each prediction is pulled toward z_j - c instead of z_j.
 Training passes c = the mean latent of the step's rows (batch_center), as DINO
@@ -19,6 +28,7 @@ component and leaves the differences between clusters as the targets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,10 @@ import numpy as np
 from . import diffnet
 from .diffnet import GradientSet, SiameseModel, as_matrix
 from .errors import ConfigError, ContractError, NumericError, ShapeError
+
+# Largest cosine block (batches x size x size float64 cells, 128 KB) that the
+# cluster term allocates; longer runs of batches are split into chunks.
+_COS_CELLS = 16384
 
 
 @dataclass
@@ -62,59 +76,54 @@ class LossReport:
         return cls(contrastive, regularizer, contrastive + regularizer)
 
 
-def _unit_rows(x: np.ndarray, name: str):
-    norms = np.sqrt(np.square(x).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
+def _row_norms(x: np.ndarray, scratch: np.ndarray, name: str) -> np.ndarray:
+    """Euclidean norms over the last axis (keepdims), squaring into `scratch`."""
+    norms = np.sqrt(np.square(x, out=scratch).sum(axis=-1, keepdims=True))
+    if not norms.all():
         raise NumericError(f"zero-norm row in {name}: cosine similarity undefined")
+    return norms
+
+
+def _unit_rows(x: np.ndarray, name: str):
+    norms = _row_norms(x, np.empty_like(x), name)
     return x / norms, norms
 
 
-def pairwise_cosine_loss(p_i, z_others) -> float:
-    """Negative average cosine similarity of one prediction against target latents."""
-    p_i = np.asarray(p_i, dtype=np.float64).reshape(1, -1)
-    z_others = as_matrix(z_others, "z_others")
-    pu, _ = _unit_rows(p_i, "p_i")
-    zu, _ = _unit_rows(z_others, "z_others")
-    return float(-(zu @ pu.ravel()).mean())
+def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[int]) -> float:
+    """Cluster-contrastive term of batches of `sizes` rows, stacked in that
+    order in t (latent targets) and p (predictions); writes its gradient
+    w.r.t. p into `grad`. t is overwritten; latents carry no gradient.
 
-
-def _batch_terms(z: np.ndarray, p: np.ndarray):
-    """Sum of leave-one-out similarity losses for one cluster batch, plus its
-    gradient w.r.t. the predictions (latents carry no gradient)."""
-    b = z.shape[0]
-    zu, _ = _unit_rows(z, "latents")
-    pu, pn = _unit_rows(p, "predictions")
-    cos = pu @ zu.T                       # b x b, cos(p_i, z_j)
-    row = cos.sum(axis=1) - np.diag(cos)  # per i: sum over j != i
-    value = float(-row.sum() / (b - 1))
-    others = zu.sum(axis=0)[None, :] - zu  # per i: sum over j != i of unit z_j
-    dp = -(others - row[:, None] * pu) / ((b - 1) * pn)
-    return value, dp
-
-
-def cluster_contrastive_loss(
-    model: SiameseModel, batches: list[ClusterBatch]
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Cluster-contrastive loss over one training step.
-
-    Returns the scalar term plus per-batch gradients w.r.t. predictions p and
-    latents z. The latent gradients are exactly zero: each member's latent acts
-    only as a constant target for the other members' predictions, so gradients
-    flow solely through the predictor path.
-    """
-    if not batches:
-        raise ContractError("need at least one cluster batch")
-    k_eff = len(batches)
-    value = 0.0
-    grads_p, grads_z = [], []
-    for batch in batches:
-        z, p, _ = diffnet.forward_full(model, batch.inputs)
-        contrib, dp = _batch_terms(z, p)
-        weight = 1.0 / (k_eff * batch.size)
-        value += weight * contrib
-        grads_p.append(weight * dp)
-        grads_z.append(np.zeros_like(z))
-    return value, grads_p, grads_z
+    Each batch of b rows adds 1 / (len(sizes) * b) times its leave-one-out
+    loss sum, in batch order."""
+    zu = np.divide(t, _row_norms(t, grad, "latents"), out=t)
+    pn = _row_norms(p, grad, "predictions")
+    pu = np.divide(p, pn, out=grad)
+    term = 0.0
+    offset = 0
+    for b, run in itertools.groupby(sizes):
+        g = len(list(run))
+        weight = 1.0 / (len(sizes) * b)
+        chunk = max(1, _COS_CELLS // (b * b))
+        for first in range(0, g, chunk):
+            rows = slice(offset + first * b, offset + min(g, first + chunk) * b)
+            z3 = zu[rows].reshape(-1, b, t.shape[1])
+            p3 = pu[rows].reshape(z3.shape)
+            cos = np.matmul(p3, z3.transpose(0, 2, 1))  # cos[., i, j] = cos(p_i, z_j)
+            row = cos.sum(axis=2) - np.diagonal(cos, axis1=1, axis2=2)  # per i: sum over j != i
+            for value in (weight * (row.sum(axis=1) / (1 - b))).tolist():
+                term += value
+            # Per i: sum over j != i of unit z_j.
+            others = np.subtract(z3.sum(axis=1)[:, None, :], z3, out=z3)
+            # weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|), built in place
+            # as (row_i * pu_i - others) / ...: equal up to the sign of zeros,
+            # which the sums of diffnet.backward do not pass on.
+            np.multiply(row[:, :, None], p3, out=p3)
+            np.subtract(p3, others, out=p3)
+            np.divide(p3, (b - 1) * pn[rows].reshape(-1, b, 1), out=p3)
+            np.multiply(p3, weight, out=p3)
+        offset += g * b
+    return term
 
 
 def _regularizer_terms(p_local: np.ndarray, p_global: np.ndarray):
@@ -127,23 +136,6 @@ def _regularizer_terms(p_local: np.ndarray, p_global: np.ndarray):
     value = float(-cos.sum() / n)
     dp = -(gu - cos[:, None] * pu) / (n * pn)
     return value, dp
-
-
-def model_contrastive_regularizer(
-    local: SiameseModel, global_snapshot: SiameseModel, batch
-) -> tuple[float, np.ndarray]:
-    """Raw (unweighted) agreement penalty between local and global predictions.
-
-    The global model is a frozen snapshot: only the gradient w.r.t. the local
-    predictions is returned.
-    """
-    _check_same_specs(local, global_snapshot)
-    batch = as_matrix(batch, "batch")
-    p_local = diffnet.forward_predictor(local, diffnet.forward_encoder(local, batch))
-    p_global = diffnet.forward_predictor(
-        global_snapshot, diffnet.forward_encoder(global_snapshot, batch)
-    )
-    return _regularizer_terms(p_local, p_global)
 
 
 def _check_same_specs(local: SiameseModel, global_snapshot: SiameseModel) -> None:
@@ -174,12 +166,13 @@ def combined_loss(
     """Cluster-contrastive term plus lam-weighted agreement regularizer, with
     exact parameter gradients for the local model.
 
-    `solo_inputs` rows (members of singleton clusters) join only the
-    regularizer mean. With lam == 0 the regularizer and the global forward pass
-    are skipped entirely. `center`, a latent-space vector, is subtracted from
-    every latent target of the cluster term; like the targets it is a constant,
-    so it carries no gradient. With center None the targets are the latents
-    themselves.
+    Each batch of b rows adds 1 / (len(batches) * b) times its leave-one-out
+    loss sum to the cluster term, in batch order. `solo_inputs` rows (members
+    of singleton clusters) join only the regularizer mean. With lam == 0 the
+    regularizer and the global forward pass are skipped entirely. `center`, a
+    latent-space vector, is subtracted from every latent target of the cluster
+    term; like the targets it is a constant, so it carries no gradient. With
+    center None the targets are the latents themselves.
     """
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
@@ -196,24 +189,17 @@ def combined_loss(
     x_all = np.vstack(parts)
 
     z, p, taps = diffnet.forward_full(model, x_all)
-    targets = z
-    if center is not None:
+    sizes = [b.size for b in batches]
+    m = sum(sizes)
+    if center is None:
+        targets = z[:m].copy()
+    else:
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (z.shape[1],):
             raise ShapeError(f"center shape {center.shape} != latent shape ({z.shape[1]},)")
-        targets = z - center
+        targets = z[:m] - center
     upstream = np.zeros_like(p)
-
-    contrastive = 0.0
-    k_eff = len(batches)
-    offset = 0
-    for batch in batches:
-        sl = slice(offset, offset + batch.size)
-        contrib, dp = _batch_terms(targets[sl], p[sl])
-        weight = 1.0 / (k_eff * batch.size)
-        contrastive += weight * contrib
-        upstream[sl] += weight * dp
-        offset += batch.size
+    contrastive = _cluster_term(targets, p[:m], upstream[:m], sizes)
 
     regularizer = 0.0
     if lam > 0:

@@ -8,6 +8,7 @@ features-only views.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffnet import as_matrix
-from .errors import ConfigError, FormatError, SizeError
+from .errors import ConfigError, FormatError, NumericError, SizeError
 
 FVD_MAGIC = b"FVD1"
 
@@ -200,6 +201,15 @@ def save_fvd(dataset: LabeledDataset, path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _loaded_dataset(path, features: np.ndarray, labels) -> LabeledDataset:
+    """The dataset of a loaded file; values LabeledDataset rejects (non-finite
+    features, labels not contiguous from 0) raise FormatError naming the file."""
+    try:
+        return LabeledDataset(features, labels, name=Path(path).stem)
+    except (ConfigError, NumericError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def load_fvd(path) -> LabeledDataset:
     """Read an FVD file; features widen to float64 in memory."""
     raw = Path(path).read_bytes()
@@ -208,60 +218,74 @@ def load_fvd(path) -> LabeledDataset:
     def need(count: int, what: str) -> bytes:
         nonlocal offset
         if offset + count > len(raw):
-            raise FormatError(f"truncated FVD file: {what} at byte offset {offset}")
+            raise FormatError(f"{path}: truncated FVD file: {what} at byte offset {offset}")
         chunk = raw[offset : offset + count]
         offset += count
         return chunk
 
     if need(4, "magic") != FVD_MAGIC:
-        raise FormatError("bad magic at byte offset 0: not an FVD file")
+        raise FormatError(f"{path}: bad magic at byte offset 0: not an FVD file")
     n, d = struct.unpack("<II", need(8, "header"))
     features = np.frombuffer(need(4 * n * d, "feature data"), dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite feature at byte offset {12 + 4 * int(bad[0])}")
     features = features.reshape(n, d).astype(np.float64)
     (has_labels,) = struct.unpack("<B", need(1, "label flag"))
     if has_labels not in (0, 1):
-        raise FormatError(f"bad label flag at byte offset {offset - 1}")
+        raise FormatError(f"{path}: bad label flag at byte offset {offset - 1}")
     labels = None
     if has_labels:
         labels = np.frombuffer(need(4 * n, "label data"), dtype="<u4").astype(np.int64)
     if offset != len(raw):
-        raise FormatError(f"trailing bytes at byte offset {offset}")
-    return LabeledDataset(features, labels, name=Path(path).stem)
+        raise FormatError(f"{path}: trailing bytes at byte offset {offset}")
+    return _loaded_dataset(path, features, labels)
 
 
 def csv_records(path) -> list[tuple[int, list[str]]]:
     """(line number, fields) of every record of a CSV text file; bytes that
-    do not decode raise FormatError naming the file."""
+    do not decode, or a record the CSV reader rejects, raise FormatError
+    naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             return [(reader.line_num, record) for record in reader]
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not {fh.encoding} text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a numeric CSV with a header row; a column named 'label' is optional."""
+    """Read a numeric CSV with a header row; a column named 'label' is optional.
+    Features must be finite numbers and labels integers in [0, 2**32), the
+    range FVD stores."""
     records = csv_records(path)
     if not records:
-        raise FormatError("empty CSV file")
+        raise FormatError(f"{path}: empty CSV file")
     header = records[0][1]
     label_col = header.index("label") if "label" in header else None
     feature_cols = [i for i in range(len(header)) if i != label_col]
     rows, labels = [], []
     for lineno, row in records[1:]:
+        where = f"{path} line {lineno}"
         if len(row) != len(header):
-            raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
         try:
-            rows.append([float(row[i]) for i in feature_cols])
-            if label_col is not None:
-                labels.append(int(row[label_col]))
+            values = [float(row[i]) for i in feature_cols]
+            label = int(row[label_col]) if label_col is not None else 0
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+            raise FormatError(f"{where}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise FormatError(f"{where}: non-finite feature value")
+        if not 0 <= label < 2**32:
+            raise FormatError(f"{where}: label {label} is not in [0, 2**32)")
+        rows.append(values)
+        labels.append(label)
     if not rows:
-        raise FormatError("CSV has a header but no data rows")
-    return LabeledDataset(
+        raise FormatError(f"{path}: CSV has a header but no data rows")
+    return _loaded_dataset(
+        path,
         np.array(rows),
         np.array(labels, dtype=np.int64) if label_col is not None else None,
-        name=Path(path).stem,
     )

@@ -289,10 +289,8 @@ def local_round(
                 views = datagen.augment(
                     features[sel], config.augment_strength, seed=int(rng.integers(2**32))
                 )
-                batches = [
-                    ClusterBatch(np.vstack([features[sel[i]], views[i]]), i)
-                    for i in range(take)
-                ]
+                pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
+                batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
                 report, grads = contrastive.combined_loss(
                     client.model, snapshot, batches, lam_eff, None
                 )

@@ -6,7 +6,8 @@ NMI normalizes mutual information by the geometric mean of the two label
 entropies, computed with natural logarithms. Kappa first matches predicted
 clusters to true classes by maximizing the matched count with one Hungarian
 assignment (matched-count ties resolve toward the higher kappa), then
-applies the standard chance correction.
+applies the standard chance correction. The assignment is solved exactly in
+int64 arithmetic by `_max_assignment`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .diffnet import as_matrix
 from .errors import ConfigError, MetricError, ShapeError
@@ -90,6 +90,48 @@ def _kappa_for_mapping(counts: np.ndarray, mapping: np.ndarray, n: int) -> float
     return float((p_o - p_e) / (1.0 - p_e))
 
 
+def _max_assignment(score: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a maximum-total perfect matching of a
+    square integer matrix: the Hungarian method with row and column
+    potentials (shortest augmenting paths). For a score range C the
+    potentials stay within [-C, C] (the root column's within q * C), so the
+    arithmetic is exact in int64 for kappa's scores (C < 2**54, q <= 64)."""
+    q = score.shape[0]
+    cost = score.max() - score  # minimize, all entries >= 0
+    inf = np.iinfo(np.int64).max
+    u = np.zeros(q, dtype=np.int64)      # row potentials
+    v = np.zeros(q + 1, dtype=np.int64)  # column potentials; column q is the path's root
+    owner = np.full(q + 1, -1, dtype=np.int64)  # row matched to each column
+    way = np.zeros(q, dtype=np.int64)    # previous column on the shortest path
+    for i in range(q):
+        owner[q] = i
+        j0 = q
+        slack = np.full(q, inf, dtype=np.int64)
+        used = np.zeros(q + 1, dtype=bool)
+        while owner[j0] != -1:
+            used[j0] = True
+            i0 = owner[j0]
+            free = ~used[:q]
+            reduced = cost[i0] - u[i0] - v[:q]
+            better = free & (reduced < slack)
+            slack[better] = reduced[better]
+            way[better] = j0
+            candidates = np.where(free, slack, inf)
+            j1 = int(np.argmin(candidates))
+            delta = candidates[j1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            j0 = j1
+        while j0 != q:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    mapping = np.empty(q, dtype=np.int64)
+    mapping[owner[:q]] = np.arange(q)
+    return mapping
+
+
 def kappa(pred_labels, true_labels) -> float:
     """Chance-corrected agreement after optimal cluster-to-class matching.
 
@@ -112,10 +154,7 @@ def kappa(pred_labels, true_labels) -> float:
     score = counts
     if (n * n + 1) * n < 2**53:
         score = (n * n + 1) * counts - np.outer(counts.sum(axis=1), counts.sum(axis=0))
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    mapping = np.empty(q, dtype=np.int64)
-    mapping[rows] = cols
-    return _kappa_for_mapping(counts, mapping, n)
+    return _kappa_for_mapping(counts, _max_assignment(score), n)
 
 
 def calinski_harabasz(points, labels) -> float:

@@ -1,0 +1,128 @@
+"""Independent loss oracles: the cluster-contrastive term evaluated one cluster
+batch at a time, and the agreement regularizer evaluated on its own.
+
+`fedclust.contrastive.combined_loss` runs the cluster term as one stacked pass
+per run of equal-size batches. `per_batch_combined_loss` is the same objective
+written batch by batch, and the two must agree bit for bit.
+"""
+
+import numpy as np
+
+from fedclust import diffnet
+from fedclust.diffnet import as_matrix
+from fedclust.errors import ContractError, NumericError, ShapeError
+
+
+def unit_rows(x, name):
+    norms = np.sqrt(np.square(x).sum(axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise NumericError(f"zero-norm row in {name}: cosine similarity undefined")
+    return x / norms, norms
+
+
+def pairwise_cosine_loss(p_i, z_others):
+    """Negative average cosine similarity of one prediction against target latents."""
+    p_i = np.asarray(p_i, dtype=np.float64).reshape(1, -1)
+    z_others = as_matrix(z_others, "z_others")
+    pu, _ = unit_rows(p_i, "p_i")
+    zu, _ = unit_rows(z_others, "z_others")
+    return float(-(zu @ pu.ravel()).mean())
+
+
+def batch_terms(z, p):
+    """Sum of leave-one-out similarity losses for one cluster batch, plus its
+    gradient w.r.t. the predictions (latents carry no gradient)."""
+    b = z.shape[0]
+    zu, _ = unit_rows(z, "latents")
+    pu, pn = unit_rows(p, "predictions")
+    cos = pu @ zu.T                       # b x b, cos(p_i, z_j)
+    row = cos.sum(axis=1) - np.diag(cos)  # per i: sum over j != i
+    value = float(-row.sum() / (b - 1))
+    others = zu.sum(axis=0)[None, :] - zu  # per i: sum over j != i of unit z_j
+    dp = -(others - row[:, None] * pu) / ((b - 1) * pn)
+    return value, dp
+
+
+def cluster_contrastive_loss(model, batches):
+    """Cluster-contrastive term of one training step, one forward pass per
+    batch: the scalar plus per-batch gradients w.r.t. predictions and
+    latents. The latent gradients are exactly zero (stop-gradient targets)."""
+    if not batches:
+        raise ContractError("need at least one cluster batch")
+    k_eff = len(batches)
+    value = 0.0
+    grads_p, grads_z = [], []
+    for batch in batches:
+        z, p, _ = diffnet.forward_full(model, batch.inputs)
+        contrib, dp = batch_terms(z, p)
+        weight = 1.0 / (k_eff * batch.size)
+        value += weight * contrib
+        grads_p.append(weight * dp)
+        grads_z.append(np.zeros_like(z))
+    return value, grads_p, grads_z
+
+
+def regularizer_terms(p_local, p_global):
+    """Mean negative cosine between local and frozen-global predictions, with
+    gradient w.r.t. the local predictions only."""
+    n = p_local.shape[0]
+    pu, pn = unit_rows(p_local, "local predictions")
+    gu, _ = unit_rows(p_global, "global predictions")
+    cos = np.einsum("ij,ij->i", pu, gu)
+    value = float(-cos.sum() / n)
+    dp = -(gu - cos[:, None] * pu) / (n * pn)
+    return value, dp
+
+
+def check_same_specs(local, global_snapshot):
+    if (
+        local.encoder.spec != global_snapshot.encoder.spec
+        or local.predictor.spec != global_snapshot.predictor.spec
+    ):
+        raise ShapeError("local and global models have different layer specs")
+
+
+def model_contrastive_regularizer(local, global_snapshot, batch):
+    """Raw (unweighted) agreement penalty between local and frozen-global
+    predictions, with the gradient w.r.t. the local predictions."""
+    check_same_specs(local, global_snapshot)
+    batch = as_matrix(batch, "batch")
+    p_local = diffnet.forward_predictor(local, diffnet.forward_encoder(local, batch))
+    p_global = diffnet.forward_predictor(
+        global_snapshot, diffnet.forward_encoder(global_snapshot, batch)
+    )
+    return regularizer_terms(p_local, p_global)
+
+
+def per_batch_combined_loss(model, global_snapshot, batches, lam, solo_inputs=None, center=None):
+    """combined_loss evaluated one cluster batch at a time: (contrastive,
+    regularizer, total) and the parameter gradients."""
+    parts = [b.inputs for b in batches]
+    if solo_inputs is not None and len(solo_inputs):
+        parts.append(as_matrix(solo_inputs, "solo inputs"))
+    x_all = np.vstack(parts)
+    z, p, taps = diffnet.forward_full(model, x_all)
+    targets = z if center is None else z - np.asarray(center, dtype=np.float64)
+    upstream = np.zeros_like(p)
+
+    contrastive = 0.0
+    k_eff = len(batches)
+    offset = 0
+    for batch in batches:
+        sl = slice(offset, offset + batch.size)
+        contrib, dp = batch_terms(targets[sl], p[sl])
+        weight = 1.0 / (k_eff * batch.size)
+        contrastive += weight * contrib
+        upstream[sl] += weight * dp
+        offset += batch.size
+
+    regularizer = 0.0
+    if lam > 0:
+        zg = diffnet.forward_encoder(global_snapshot, x_all)
+        pg = diffnet.forward_predictor(global_snapshot, zg)
+        raw, dp_reg = regularizer_terms(p, pg)
+        regularizer = lam * raw
+        upstream += lam * dp_reg
+
+    grads = diffnet.backward(model, taps, upstream)
+    return (contrastive, regularizer, contrastive + regularizer), grads

@@ -1,5 +1,6 @@
 """Loss-layer checks: hand-rolled cosine oracles, stop-gradient behavior,
-and finite-difference verification of the composite objective."""
+finite-difference verification of the composite objective, and bitwise
+agreement of the stacked cluster term with the per-batch oracle."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ from fedclust import contrastive, diffnet
 from fedclust.contrastive import ClusterBatch, combined_loss
 from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import ConfigError, ContractError, NumericError, ShapeError
+from loss_oracles import (
+    cluster_contrastive_loss,
+    model_contrastive_regularizer,
+    pairwise_cosine_loss,
+    per_batch_combined_loss,
+)
 
 
 def make_model(d=4, z=3, seed=0):
@@ -40,7 +47,7 @@ def frozen_objective(model, snapshot, batches, lam, frozen_targets):
         total += (1.0 / (k * b)) * float(-row.sum() / (b - 1))
     if lam > 0:
         x_all = np.vstack([batch.inputs for batch in batches])
-        raw, _ = contrastive.model_contrastive_regularizer(model, snapshot, x_all)
+        raw, _ = model_contrastive_regularizer(model, snapshot, x_all)
         total += lam * raw
     return total
 
@@ -100,23 +107,34 @@ class TestPairwiseCosineLoss:
     def test_identical_directions(self):
         v = np.array([1.0, 2.0, -1.0])
         z = np.vstack([v, 3 * v, 0.5 * v])
-        assert contrastive.pairwise_cosine_loss(v, z) == pytest.approx(-1.0)
+        assert pairwise_cosine_loss(v, z) == pytest.approx(-1.0)
 
     def test_orthogonal(self):
         p = np.array([1.0, 0.0])
         z = np.array([[0.0, 1.0], [0.0, -2.0]])
-        assert contrastive.pairwise_cosine_loss(p, z) == pytest.approx(0.0)
+        assert pairwise_cosine_loss(p, z) == pytest.approx(0.0)
 
     def test_direct_evaluation(self):
         p = np.array([1.0, 0.0])
         z = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        assert contrastive.pairwise_cosine_loss(p, z) == pytest.approx(0.0, abs=1e-15)
+        assert pairwise_cosine_loss(p, z) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(NumericError):
-            contrastive.pairwise_cosine_loss(np.zeros(2), np.ones((2, 2)))
+            pairwise_cosine_loss(np.zeros(2), np.ones((2, 2)))
         with pytest.raises(NumericError):
-            contrastive.pairwise_cosine_loss(np.ones(2), np.zeros((2, 2)))
+            pairwise_cosine_loss(np.ones(2), np.zeros((2, 2)))
+
+
+def cluster_term(model, batches):
+    report, _ = combined_loss(model, None, batches, lam=0.0)
+    return report.contrastive_term
+
+
+def regularizer_term(local, snapshot, x):
+    # With lam = 1 the regularizer term is the raw agreement penalty.
+    report, _ = combined_loss(local, snapshot, [ClusterBatch(x, 0)], lam=1.0)
+    return report.regularizer_term
 
 
 class TestClusterContrastiveLoss:
@@ -125,15 +143,16 @@ class TestClusterContrastiveLoss:
         model = identity_predictor_model(d=3)
         model.encoder.weights[0][:] = np.eye(3)
         x = np.vstack([[1.0, 1.0, 0.0]] * 4) * np.array([[1], [2], [3], [4.0]])
-        value, _, _ = contrastive.cluster_contrastive_loss(model, [ClusterBatch(x, 0)])
-        assert value == pytest.approx(-1.0)
+        assert cluster_term(model, [ClusterBatch(x, 0)]) == pytest.approx(-1.0)
 
     def test_matches_double_loop_oracle(self):
         model = identity_predictor_model(d=4, seed=3)
         rng = np.random.default_rng(5)
         batches = [ClusterBatch(rng.normal(size=(3, 4)), 0), ClusterBatch(rng.normal(size=(3, 4)), 1)]
-        value, grads_p, grads_z = contrastive.cluster_contrastive_loss(model, batches)
-        assert value == pytest.approx(oracle_cluster_loss(model, batches), abs=1e-12)
+        expected = oracle_cluster_loss(model, batches)
+        assert cluster_term(model, batches) == pytest.approx(expected, abs=1e-12)
+        value, grads_p, grads_z = cluster_contrastive_loss(model, batches)
+        assert value == pytest.approx(expected, abs=1e-12)
         assert all(np.all(g == 0.0) for g in grads_z)
         assert all(g.shape == (3, model.latent_dim) for g in grads_p)
 
@@ -148,8 +167,7 @@ class TestClusterContrastiveLoss:
             batches = [
                 ClusterBatch(rng.normal(size=(rng.integers(2, 6), 4)), c) for c in range(3)
             ]
-            value, _, _ = contrastive.cluster_contrastive_loss(model, batches)
-            assert -1.0 <= value <= 1.0
+            assert -1.0 <= cluster_term(model, batches) <= 1.0
 
     def test_scale_invariance_of_value(self):
         # Scaling the input of an identity-encoder model scales z and p together;
@@ -158,8 +176,8 @@ class TestClusterContrastiveLoss:
         model.encoder.weights[0][:] = np.eye(3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 3))
-        v1, _, _ = contrastive.cluster_contrastive_loss(model, [ClusterBatch(x, 0)])
-        v2, _, _ = contrastive.cluster_contrastive_loss(model, [ClusterBatch(7.3 * x, 0)])
+        v1 = cluster_term(model, [ClusterBatch(x, 0)])
+        v2 = cluster_term(model, [ClusterBatch(7.3 * x, 0)])
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -167,13 +185,12 @@ class TestRegularizer:
     def test_identical_models(self):
         model = make_model(seed=1)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        value, _ = contrastive.model_contrastive_regularizer(model, model.copy(), x)
-        assert value == pytest.approx(-1.0)
+        assert regularizer_term(model, model.copy(), x) == pytest.approx(-1.0)
 
     def test_matches_per_sample_oracle(self):
         local, remote = make_model(seed=1), make_model(seed=2)
         x = np.random.default_rng(3).normal(size=(5, 4))
-        value, _ = contrastive.model_contrastive_regularizer(local, remote, x)
+        value = regularizer_term(local, remote, x)
         pl = diffnet.forward_predictor(local, diffnet.forward_encoder(local, x))
         pg = diffnet.forward_predictor(remote, diffnet.forward_encoder(remote, x))
         expected = 0.0
@@ -182,12 +199,15 @@ class TestRegularizer:
                 pl[i] @ pg[i] / (np.linalg.norm(pl[i]) * np.linalg.norm(pg[i]))
             )
         assert value == pytest.approx(expected / 5, abs=1e-12)
+        assert model_contrastive_regularizer(local, remote, x)[0] == pytest.approx(
+            expected / 5, abs=1e-12
+        )
 
     def test_spec_mismatch(self):
         local = make_model(d=4)
         remote = make_model(d=5)
         with pytest.raises(ShapeError):
-            contrastive.model_contrastive_regularizer(local, remote, np.ones((2, 4)))
+            combined_loss(local, remote, [ClusterBatch(np.ones((2, 4)), 0)], lam=0.1)
 
 
 class TestCombinedLoss:
@@ -196,7 +216,7 @@ class TestCombinedLoss:
         rng = np.random.default_rng(7)
         batches = [ClusterBatch(rng.normal(size=(3, 4)), 0)]
         report, grads = combined_loss(model.copy(), model.copy(), batches, lam=0.0)
-        value, _, _ = contrastive.cluster_contrastive_loss(model, batches)
+        value, _, _ = cluster_contrastive_loss(model, batches)
         assert report.total == report.contrastive_term == pytest.approx(value, abs=1e-14)
         assert report.regularizer_term == 0.0
 
@@ -204,7 +224,7 @@ class TestCombinedLoss:
         m2 = model.copy()
         x = batches[0].inputs
         _, _, taps = diffnet.forward_full(m2, x)
-        _, gp, _ = contrastive.cluster_contrastive_loss(m2, batches)
+        _, gp, _ = cluster_contrastive_loss(m2, batches)
         expected = diffnet.backward(m2, taps, gp[0])
         for a, b in zip(grads.arrays, expected.arrays):
             np.testing.assert_allclose(a, b, atol=1e-14)
@@ -299,7 +319,7 @@ class TestCombinedLoss:
         _, grads = combined_loss(model, None, [batch], lam=0.0)
 
         z, p, taps = diffnet.forward_full(model, x)
-        _, gp, _ = contrastive.cluster_contrastive_loss(model, [batch])
+        _, gp, _ = cluster_contrastive_loss(model, [batch])
         b = x.shape[0]
         zu = z / np.linalg.norm(z, axis=1, keepdims=True)
         pu = p / np.linalg.norm(p, axis=1, keepdims=True)
@@ -325,10 +345,158 @@ class TestCombinedLoss:
         solo = rng.normal(size=(3, 4))
 
         report, _ = combined_loss(model, snapshot, [batch], lam=0.5, solo_inputs=solo)
-        value, _, _ = contrastive.cluster_contrastive_loss(model, [batch])
+        value, _, _ = cluster_contrastive_loss(model, [batch])
         assert report.contrastive_term == pytest.approx(value, abs=1e-12)
 
         # Regularizer mean runs over batch rows plus solo rows.
         x_all = np.vstack([batch.inputs, solo])
-        raw, _ = contrastive.model_contrastive_regularizer(model, snapshot, x_all)
+        raw, _ = model_contrastive_regularizer(model, snapshot, x_all)
         assert report.regularizer_term == pytest.approx(0.5 * raw, abs=1e-12)
+
+
+def assert_bitwise_equal(result, expected):
+    """combined_loss's (report, grads) against the oracle's ((contrastive,
+    regularizer, total), grads), bit for bit."""
+    report, grads = result
+    terms, expected_grads = expected
+    got = (report.contrastive_term, report.regularizer_term, report.total)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in terms]
+    assert len(grads.arrays) == len(expected_grads.arrays)
+    for a, e in zip(grads.arrays, expected_grads.arrays):
+        assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+
+def random_sizes(kind, rng):
+    """Cluster batch sizes of one step: one run of equal sizes, several runs,
+    alternating sizes, or the SCFC step's two-row pairs."""
+    if kind == "equal":
+        return [int(rng.integers(2, 65))] * int(rng.integers(1, 12))
+    if kind == "runs":
+        sizes = []
+        for _ in range(int(rng.integers(2, 5))):
+            sizes += [int(rng.integers(2, 65))] * int(rng.integers(1, 5))
+        return sizes
+    if kind == "alternating":
+        a, b = (int(s) for s in rng.choice(np.arange(2, 65), size=2, replace=False))
+        return [(a, b)[i % 2] for i in range(int(rng.integers(2, 10)))]
+    return [2] * int(rng.integers(1, 80))
+
+
+class TestStackedKernel:
+    """The stacked cluster term equals the per-batch oracle bit for bit: the
+    loss report and every parameter gradient."""
+
+    @pytest.mark.parametrize("kind", ["equal", "runs", "alternating", "pairs"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_matches_per_batch_oracle(self, kind, lam, centred):
+        rng = np.random.default_rng(["equal", "runs", "alternating", "pairs"].index(kind)
+                                    + 10 * int(lam * 10) + 100 * centred)
+        for trial in range(6):
+            d_in = int(rng.integers(4, 20))
+            z_dim = int(rng.choice([2, 3, 8, 9, 32, 33]))
+            # Hidden layers wide enough that ReLU never zeroes a whole row.
+            model, snapshot = (
+                init_model(MlpSpec((d_in, 48, z_dim)), MlpSpec((z_dim, 48, z_dim)), seed)
+                for seed in (trial, 100 + trial)
+            )
+            sizes = random_sizes(kind, rng)
+            if kind == "pairs":
+                x = rng.normal(size=(len(sizes), d_in))
+                views = x + 0.5 * rng.normal(size=x.shape)
+                pairs = np.stack((x, views), axis=1)
+                batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
+            else:
+                batches = [ClusterBatch(rng.normal(size=(s, d_in)), c) for c, s in enumerate(sizes)]
+            solo = rng.normal(size=(int(rng.integers(1, 4)), d_in)) if trial % 2 else None
+            center = None
+            if centred:
+                center = (contrastive.batch_center(model, batches) if trial % 3
+                          else rng.normal(size=z_dim))
+            assert_bitwise_equal(
+                combined_loss(model, snapshot, batches, lam, solo, center),
+                per_batch_combined_loss(model, snapshot, batches, lam, solo, center),
+            )
+
+    @pytest.mark.parametrize("b,g", [(64, 10), (16, 70), (2, 5)])
+    def test_runs_longer_than_one_chunk(self, b, g):
+        # (64, 10) and (16, 70) hold more cosines than one chunk of the
+        # cluster term, so their runs are split.
+        rng = np.random.default_rng(b * g)
+        model, snapshot = make_model(seed=1), make_model(seed=2)
+        batches = [ClusterBatch(rng.normal(size=(b, 4)), c) for c in range(g)]
+        center = contrastive.batch_center(model, batches)
+        assert_bitwise_equal(
+            combined_loss(model, snapshot, batches, 0.1, None, center),
+            per_batch_combined_loss(model, snapshot, batches, 0.1, None, center),
+        )
+
+    def test_zero_gradients_keep_the_oracles_sign(self):
+        # A latent coordinate that is zero in every row gives exact zeros in
+        # the prediction gradient. With every leave-one-out cosine sum
+        # negative (predictions opposite to aligned targets) the stacked
+        # term's zeros are negative where the oracle's are positive; the
+        # parameter gradients must still agree bit for bit.
+        model = identity_predictor_model(d=4, seed=7)
+        model.predictor.weights[0][:] = -np.eye(4)
+        model.encoder.weights[0][:] = np.eye(4)
+        model.encoder.weights[0][:, 3] = 0.0
+        model.encoder.biases[0][:] = 0.0
+        rng = np.random.default_rng(8)
+        batches = [
+            ClusterBatch([1.0, 2.0, 0.5, 0.0] + 0.1 * rng.normal(size=(5, 4)), c)
+            for c in range(4)
+        ]
+        assert_bitwise_equal(
+            combined_loss(model, None, batches, 0.0),
+            per_batch_combined_loss(model, None, batches, 0.0),
+        )
+
+    def test_zero_latent_row_in_group_rejected(self):
+        # A bias-free linear encoder maps a zero input row to a zero latent.
+        model = identity_predictor_model(d=4, seed=3)
+        model.encoder.biases[0][:] = 0.0
+        rng = np.random.default_rng(4)
+        inputs = [rng.normal(size=(3, 4)) for _ in range(3)]
+        inputs[1][2] = 0.0
+        batches = [ClusterBatch(x, c) for c, x in enumerate(inputs)]
+        with pytest.raises(NumericError, match="zero-norm"):
+            combined_loss(model, None, batches, lam=0.0)
+
+    def test_zero_centred_target_in_group_rejected(self):
+        model = make_model(seed=5)
+        rng = np.random.default_rng(6)
+        batches = [ClusterBatch(rng.normal(size=(4, 4)), c) for c in range(3)]
+        z = diffnet.forward_encoder(model, np.vstack([b.inputs for b in batches]))
+        with pytest.raises(NumericError, match="zero-norm"):
+            combined_loss(model, None, batches, lam=0.0, center=z[6])
+
+
+def desk_models():
+    # The desk run's widths: 32 inputs, a 256-wide encoder, 32 latents and a
+    # 64-wide predictor.
+    return tuple(init_model(MlpSpec((32, 256, 32)), MlpSpec((32, 64, 32)), s) for s in (0, 1))
+
+
+class TestKernelBenchmarks:
+    """Per-kernel timings (pytest-benchmark) of combined_loss forward plus
+    backward at the training steps' shapes, each checked bitwise against the
+    per-batch oracle."""
+
+    def test_scfc_step_64_pairs(self, benchmark):
+        model, snapshot = desk_models()
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(64, 32))
+        pairs = np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1)
+        batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
+        result = benchmark(combined_loss, model, snapshot, batches, 0.1)
+        assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))
+
+    def test_ccfc_step_10x64(self, benchmark):
+        model, snapshot = desk_models()
+        rng = np.random.default_rng(640)
+        batches = [ClusterBatch(rng.normal(size=(64, 32)), c) for c in range(10)]
+        center = contrastive.batch_center(model, batches)
+        result = benchmark(combined_loss, model, snapshot, batches, 0.1, None, center)
+        expected = per_batch_combined_loss(model, snapshot, batches, 0.1, None, center)
+        assert_bitwise_equal(result, expected)

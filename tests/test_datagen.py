@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedclust.datagen import (
+    FVD_MAGIC,
     FederatedSplit,
     LabeledDataset,
     PartitionSpec,
@@ -201,6 +204,20 @@ class TestFvdFormat:
         with pytest.raises(FormatError, match="trailing"):
             load_fvd(path)
 
+    def test_non_finite_feature_reports_offset(self, tmp_path):
+        path = tmp_path / "inf.fvd"
+        blob = b"FVD1" + struct.pack("<II", 2, 2) + struct.pack("<4f", 1, 2, np.inf, 4)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(FormatError, match="inf.fvd: non-finite feature at byte offset 20"):
+            load_fvd(path)
+
+    def test_noncontiguous_labels_rejected(self, tmp_path):
+        path = tmp_path / "gap.fvd"
+        blob = b"FVD1" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1, 2)
+        path.write_bytes(blob + b"\x01" + struct.pack("<2I", 0, 2))
+        with pytest.raises(FormatError, match="gap.fvd: label ids must be contiguous"):
+            load_fvd(path)
+
 
 class TestCsvLoader:
     def test_with_label_column(self, tmp_path):
@@ -241,6 +258,29 @@ class TestCsvLoader:
         with pytest.raises(FormatError, match="bad.csv"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1.0,1999999999999999999999999999999\n", "line 2: label"),
+            ("1.0,-1\n", "line 2: label"),
+            ("1.0,0\n1e999,1\n", "line 3: non-finite"),
+            ("nan,0\n", "line 2: non-finite"),
+            ("1.0,0\n2.0,2\n", "contiguous"),
+            ("1.0,0.5\n", "line 2"),
+        ],
+    )
+    def test_bad_values_name_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "values.csv"
+        path.write_text("x,label\n" + body)
+        with pytest.raises(FormatError, match=f"values.csv.*{message}"):
+            load_csv(path)
+
+    def test_oversized_field_is_format_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x\n" + "1" * 200_000 + "\n")
+        with pytest.raises(FormatError, match="wide.csv line 2"):
+            load_csv(path)
+
 
 class TestLabeledDataset:
     def test_noncontiguous_labels_rejected(self):
@@ -250,3 +290,64 @@ class TestLabeledDataset:
     def test_label_length_mismatch(self):
         with pytest.raises(ConfigError):
             LabeledDataset(np.zeros((3, 2)), [0, 1])
+
+
+# Loaders on truncated or garbled input: every failure is a FormatError.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def garbled_fvd(draw):
+    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    features = draw(st.lists(st.floats(width=32), min_size=n * d, max_size=n * d))
+    blob = bytearray(FVD_MAGIC + struct.pack("<II", n, d) + struct.pack(f"<{n * d}f", *features))
+    if draw(st.booleans()):
+        labels = st.integers(0, 3) | st.integers(0, 2**32 - 1)
+        blob += b"\x01" + struct.pack(f"<{n}I", *draw(st.lists(labels, min_size=n, max_size=n)))
+    else:
+        blob += b"\x00"
+    edit = draw(st.sampled_from(["none", "truncate", "overwrite", "append", "replace"]))
+    if edit == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    elif edit == "overwrite":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    elif edit == "append":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    elif edit == "replace":
+        blob = bytearray(draw(st.binary(max_size=40)))
+    return bytes(blob)
+
+
+CSV_PIECES = st.sampled_from(
+    ["x", "y", "label", ",", ",", "\n", "\n", "\r\n", '"', "0", "1", "2", "-1", "0.5",
+     "1e999", "nan", "-inf", "19999999999999999999999", " ", "e", ".", "\x00", "\xff"]
+)
+
+
+@st.composite
+def garbled_csv(draw):
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=60))
+    text = "".join(draw(st.lists(CSV_PIECES, max_size=30)))
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _loads_or_format_error(loader, path, blob):
+    path.write_bytes(blob)
+    try:
+        loader(path)
+    except FormatError:
+        pass
+
+
+@PROPERTY
+@given(garbled_fvd())
+def test_garbled_fvd_raises_only_format_error(tmp_path_factory, blob):
+    _loads_or_format_error(load_fvd, tmp_path_factory.getbasetemp() / "garbled.fvd", blob)
+
+
+@PROPERTY
+@given(garbled_csv())
+def test_garbled_csv_raises_only_format_error(tmp_path_factory, blob):
+    _loads_or_format_error(load_csv, tmp_path_factory.getbasetemp() / "garbled.csv", blob)

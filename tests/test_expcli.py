@@ -3,8 +3,10 @@ the command-line entry points."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,16 @@ class TestCli:
         src.write_bytes(b"a,b,label\n1,2,0\n3,\xff4,1\n")
         assert main(["convert", "--in", str(src), "--out", str(tmp_path / "data.fvd")]) == 3
 
+    @pytest.mark.parametrize(
+        "body", ["1,1999999999999999999999999999999\n", "1,0\n2,2\n", "1e999,0\n"]
+    )
+    def test_convert_bad_values_exit_3(self, tmp_path, capsys, body):
+        src = tmp_path / "data.csv"
+        src.write_text("a,label\n" + body)
+        assert main(["convert", "--in", str(src), "--out", str(tmp_path / "data.fvd")]) == 3
+        assert "data.csv" in capsys.readouterr().err
+        assert not (tmp_path / "data.fvd").exists()
+
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "fedclust.expcli", "summarize", "--in", "/nonexistent.csv"],
@@ -353,6 +365,18 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 3
+
+    def test_import_leaves_scipy_out(self):
+        # Importing scipy.optimize took most of the CLI's start-up time.
+        src_dir = str(Path(expcli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fedclust.expcli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 # Every top-level key, section and section key, dotted.

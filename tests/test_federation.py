@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedclust import datagen, diffnet, federation, metrics
-from fedclust.contrastive import ClusterBatch, cluster_contrastive_loss
+from fedclust.contrastive import ClusterBatch, combined_loss
 from fedclust.datagen import FederatedSplit, PartitionSpec
 from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import ConfigError, ProtocolError, ShapeError, SizeError
@@ -507,7 +507,8 @@ class TestScfc:
         model = init_model(MlpSpec((4, 16, 6)), MlpSpec((6, 16, 6)), seed=4)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 4))
-        value, _, _ = cluster_contrastive_loss(model, [ClusterBatch(x, 0)])
+        report, _ = combined_loss(model, None, [ClusterBatch(x, 0)], lam=0.0)
+        value = report.contrastive_term
 
         z = diffnet.forward_encoder(model, x)
         p = diffnet.forward_predictor(model, z)

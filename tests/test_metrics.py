@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fedclust import metrics
 from fedclust.errors import MetricError, ShapeError
@@ -156,6 +157,36 @@ class TestKappa:
         p_e = sum((pred == c).mean() * (true == c).mean() for c in range(8))
         expected = (direct - p_e) / (1 - p_e)
         assert metrics.kappa(pred, true) == pytest.approx(expected, abs=1e-12)
+
+    def test_assignment_optimum_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            q = int(rng.integers(1, 65)) if trial % 2 else int(rng.integers(1, 9))
+            hi = int(rng.choice([1, 3, 1000, 2**40]))  # narrow ranges make many ties
+            score = rng.integers(-hi, hi + 1, size=(q, q))
+            mapping = metrics._max_assignment(score)
+            assert sorted(mapping.tolist()) == list(range(q))
+            rows, cols = linear_sum_assignment(score, maximize=True)
+            assert int(score[np.arange(q), mapping].sum()) == int(score[rows, cols].sum())
+
+    def test_equals_scipy_matched_kappa_bitwise(self):
+        # Every optimal matching of the exact score has the same matched count
+        # and the same p_e, so any optimal solver gives the same kappa bits.
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n = int(rng.integers(2, 300))
+            pred = _compact(rng.integers(0, int(rng.integers(1, 13)), size=n))
+            true = _compact(rng.integers(0, int(rng.integers(1, 13)), size=n))
+            counts = metrics.contingency(pred, true).counts
+            q = max(counts.shape)
+            square = np.zeros((q, q), dtype=np.int64)
+            square[: counts.shape[0], : counts.shape[1]] = counts
+            score = (n * n + 1) * square - np.outer(square.sum(axis=1), square.sum(axis=0))
+            rows, cols = linear_sum_assignment(score, maximize=True)
+            mapping = np.empty(q, dtype=np.int64)
+            mapping[rows] = cols
+            expected = metrics._kappa_for_mapping(square, mapping, n)
+            assert metrics.kappa(pred, true).hex() == expected.hex()
 
 
 class TestCalinskiHarabasz:
