@@ -236,7 +236,10 @@ def local_round(
     encoder when present, otherwise the client's own). Training minimizes the
     combined loss with Adam; on the cluster-contrastive path each step centres
     the latent targets on the mean latent of the step's rows. Mining runs
-    k-means on the trained encoder's latents.
+    k-means on the trained encoder's latents: in a latent round with targets,
+    one Lloyd run from `global_centroids`, which live in the same space;
+    otherwise (a raw-space round, or no targets yet) `config.kmeans_restarts`
+    seeded restarts.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _S_LOCAL, round_index, client.client_id))
@@ -298,11 +301,13 @@ def local_round(
                 reports.append(report)
 
     mined_latent = diffnet.forward_encoder(client.model, features)
+    warm = not raw_space and global_centroids is not None
     centroids, _ = lloyd(
         mined_latent,
         config.k,
         _stream_seed(config.seed, _S_LOCAL_KM, round_index, client.client_id),
-        restarts=config.kmeans_restarts,
+        restarts=1 if warm else config.kmeans_restarts,
+        init=global_centroids if warm else None,
     )
     return client.model, centroids, reports
 
@@ -433,6 +438,13 @@ def run(
     the latent space can correct. R is therefore a quarter of the schedule:
     the encoder first learns the raw groups, and most of the run is left to
     refine them in the latent space.
+
+    k-means runs `kmeans_restarts` seeded restarts in the bootstrap, in the
+    raw-space rounds' mining, in SCFC's first round (which has no centroids
+    yet), in every server fusion and in KFED. Every other round's mining
+    (cluster-contrastive rounds after R, SCFC rounds after the first) is one
+    Lloyd run from the latent centroids the client was given: the broadcast
+    global centroids, or a standalone client's own previous ones.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation, or the bootstrap's in a

@@ -1,5 +1,5 @@
 """Lloyd's k-means with D^2-weighted seeding, restarts, and deterministic
-tie-breaking.
+tie-breaking, or as one Lloyd run from given centroids (`init`).
 
 Random choices and floating-point reductions are driven through a canonical
 ordering of the points (lexicographic over coordinates), so results are
@@ -13,6 +13,13 @@ the same rows in the same order, so each restart ends bit-identical to
 `lloyd_trace` with seed + r. The equivariance above holds for the batch, and
 the returned assignment is a fixed point of `assign_nearest` on the returned
 centroids.
+
+A run from `init` takes the same loop, empty-cluster reseed, stop rule and
+final labeling, so it keeps the equivariance and the fixed point. The
+federated protocol warm-starts each client's latent-round mining this way,
+from the centroids the server broadcast; the bootstrap, the raw-space
+rounds, SCFC's first round, server fusion and the KFED baseline run
+`kmeans_restarts` seeded restarts.
 """
 
 from __future__ import annotations
@@ -206,18 +213,27 @@ def _group_sums(points: np.ndarray, groups: np.ndarray, count: int, out: np.ndar
 
 
 def _runs(
-    points, k: int, seeds, max_iters: int, tol: float
+    points, k: int, seeds, max_iters: int, tol: float, init: CentroidSet | None = None
 ) -> list[tuple[CentroidSet, Assignment, list[float]]]:
-    """One Lloyd run per seed, all stepped together. Returns, per seed, the
+    """One Lloyd run per seed, all stepped together, or one run from `init`'s
+    rows when it is given (`seeds` is then not read). Returns, per run, the
     centroids, the assignment and the inertia at every assignment step."""
     order, canon = _canonical(points, k)
     n, dim = canon.shape
     # Scratch arrays reused at every step: a fresh array of this size takes
     # longer to fault in than the arithmetic done on it.
-    work = np.empty((len(seeds), n, dim))
-    scores = np.empty((len(seeds), n, k))
-    centroids = _seed(canon, k, seeds, work)
-    histories: list[list[float]] = [[] for _ in seeds]
+    if init is None:
+        work = np.empty((len(seeds), n, dim))
+        centroids = _seed(canon, k, seeds, work)
+    else:
+        if init.centroids.shape != (k, dim):
+            raise ShapeError(
+                f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
+            )
+        work = np.empty((1, n, dim))
+        centroids = init.centroids[None].copy()
+    scores = np.empty((len(centroids), n, k))
+    histories: list[list[float]] = [[] for _ in centroids]
     active = np.arange(len(histories))  # runs that have not converged
     for _ in range(max_iters):
         current = centroids[active]
@@ -269,13 +285,16 @@ def lloyd_trace(
     seed: int,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
+    init: CentroidSet | None = None,
 ) -> tuple[CentroidSet, Assignment, list[float]]:
     """A single Lloyd run; also returns the inertia recorded at every assignment step.
 
-    All arithmetic runs on the canonically ordered copy of the points, so the
-    outcome is bit-identical under any permutation of the input rows.
+    The run starts from `init`'s rows when given (`seed` is then not read),
+    otherwise from the D^2 seeding with `seed`. All arithmetic runs on the
+    canonically ordered copy of the points, so the outcome is bit-identical
+    under any permutation of the input rows.
     """
-    return _runs(points, k, [seed], max_iters, tol)[0]
+    return _runs(points, k, [seed], max_iters, tol, init)[0]
 
 
 def lloyd(
@@ -285,11 +304,18 @@ def lloyd(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     restarts: int = DEFAULT_RESTARTS,
+    init: CentroidSet | None = None,
 ) -> tuple[CentroidSet, Assignment]:
     """Best of `restarts` Lloyd runs (seeds seed+0 .. seed+restarts-1), lowest
-    inertia; the first such run on ties."""
+    inertia; the first such run on ties.
+
+    With `init`, one Lloyd run from its rows instead: `seed` is not read,
+    `restarts` must be 1, and `init` must hold k centroids of the points' dim.
+    """
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
-    runs = _runs(points, k, range(seed, seed + restarts), max_iters, tol)
+    if init is not None and restarts != 1:
+        raise ContractError(f"a run from init takes restarts=1, got {restarts}")
+    runs = _runs(points, k, range(seed, seed + restarts), max_iters, tol, init)
     cset, assignment, _ = min(runs, key=lambda run: run[1].inertia)
     return cset, assignment

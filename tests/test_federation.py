@@ -231,9 +231,27 @@ class TestLocalRound:
         for a, b in zip(trained.param_arrays(), model.param_arrays()):
             np.testing.assert_array_equal(a, b)
         assert reports == []
+        # A latent round mines with one Lloyd run from the centroids it was given.
         expected, _ = lloyd(
             z0, config.k,
             federation._stream_seed(config.seed, federation._S_LOCAL_KM, 1, client.client_id),
+            restarts=1, init=global_cents,
+        )
+        np.testing.assert_array_equal(mined.centroids, expected.centroids)
+
+    @pytest.mark.parametrize("algorithm, raw_space", [("CCFC", True), ("SCFC", False)])
+    def test_raw_round_and_round_without_targets_mine_seeded(self, algorithm, raw_space):
+        ds, split = blob_fixture()
+        config = small_config(algorithm=algorithm, local_epochs=0)
+        model, clients = make_clients(ds, split, config)
+        client = clients[1]
+        # Raw-space targets have the features' dim; a round without targets gets None.
+        targets = lloyd(client.features, config.k, seed=4, restarts=2)[0] if raw_space else None
+        _, mined, _ = local_round(client, model, targets, config, round_index=2,
+                                  raw_space=raw_space)
+        expected, _ = lloyd(
+            diffnet.forward_encoder(model, client.features), config.k,
+            federation._stream_seed(config.seed, federation._S_LOCAL_KM, 2, client.client_id),
             restarts=config.kmeans_restarts,
         )
         np.testing.assert_array_equal(mined.centroids, expected.centroids)
@@ -266,6 +284,52 @@ class TestLocalRound:
         for ra, rb in zip(final_a.records, final_b.records):
             assert ra.loss_total == rb.loss_total
             assert ra.nmi == rb.nmi
+
+
+class TestMiningSchedule:
+    """Which `lloyd` call each client-round mines with, over a whole run."""
+
+    @pytest.mark.parametrize(
+        "algorithm", ["CCFC", "CCFC_standalone", "SCFC", "SCFC_standalone"]
+    )
+    def test_latent_rounds_start_from_the_given_centroids(self, algorithm, monkeypatch):
+        ds, split = blob_fixture()
+        config = small_config(algorithm=algorithm, rounds=5)
+        cluster_contrastive = algorithm.startswith("CCFC")
+        raw_rounds = federation._raw_grouping_rounds(config.rounds) if cluster_contrastive else 0
+        calls = []  # (client, round, targets, raw_space, mined, its lloyd kwargs)
+        mining = []  # the lloyd kwargs of the local round in progress
+        inner_lloyd, inner_round = federation.lloyd, federation.local_round
+
+        def lloyd_spy(*args, **kwargs):
+            if mining:
+                mining[-1].append(kwargs)
+            return inner_lloyd(*args, **kwargs)
+
+        def round_spy(client, snapshot, targets, cfg, round_index, raw_space=False):
+            mining.append([])
+            out = inner_round(client, snapshot, targets, cfg, round_index, raw_space=raw_space)
+            calls.append((client.client_id, round_index, targets, raw_space, out[1], mining.pop()))
+            return out
+
+        monkeypatch.setattr(federation, "lloyd", lloyd_spy)
+        monkeypatch.setattr(federation, "local_round", round_spy)
+        run(config, ds, split)
+
+        previous = {}
+        assert len(calls) == config.rounds * split.num_clients
+        for client_id, round_index, targets, raw_space, mined, (mine_kwargs,) in calls:
+            assert raw_space == (round_index <= raw_rounds)
+            if raw_space or (round_index == 1 and not cluster_contrastive):
+                assert mine_kwargs["init"] is None
+                assert mine_kwargs["restarts"] == config.kmeans_restarts
+            else:
+                assert mine_kwargs["init"] is targets
+                assert mine_kwargs["restarts"] == 1
+                if algorithm.endswith("_standalone"):
+                    # A standalone client starts from its own previous centroids.
+                    assert targets is previous[client_id]
+            previous[client_id] = mined
 
 
 class TestRun:

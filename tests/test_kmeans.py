@@ -71,12 +71,17 @@ def oracle_kmeanspp(points, k, seed, hits):
     return ordered[np.array(chosen, dtype=np.int64)].copy()
 
 
-def oracle_lloyd_trace(points, k, seed, max_iters=100, tol=1e-6, hits=None):
+def oracle_lloyd_trace(points, k, seed, max_iters=100, tol=1e-6, hits=None, init=None):
+    """One Lloyd run from D^2 seeding with `seed`, or from the rows of the
+    array `init` when given."""
     hits = Counter() if hits is None else hits
     n = points.shape[0]
     order = _oracle_canonical_order(points)
     canon = np.ascontiguousarray(points[order])
-    centroids = oracle_kmeanspp(points, k, seed, hits)
+    if init is None:
+        centroids = oracle_kmeanspp(points, k, seed, hits)
+    else:
+        centroids = np.array(init, dtype=np.float64)
     history = []
     for _ in range(max_iters):
         d2 = np.square(centroids).sum(axis=1)[None, :] - 2.0 * (canon @ centroids.T)
@@ -148,6 +153,29 @@ def oracle_instance(rng, i):
     return points, k, dict(seed=int(rng.integers(0, 10_000)), max_iters=max_iters, restarts=1 + i % 12)
 
 
+def warm_instance(rng, i):
+    """Points, k, max_iters and start centroids of the i-th warm-start instance.
+
+    The starts cycle through data rows, data rows with duplicates (the tied
+    copies lose every point, so their clusters empty), one centroid far from
+    every point (its cluster empties on the first step), and Gaussian draws.
+    """
+    points, k, run = oracle_instance(rng, i)
+    n, dim = points.shape
+    kind = i % 4
+    if kind == 0:
+        init = points[rng.choice(n, size=k, replace=False)]
+    elif kind == 1:
+        init = points[rng.integers(0, n, size=k)]
+        init[-1] = init[0]
+    elif kind == 2:
+        init = points[rng.choice(n, size=k, replace=False)]
+        init[rng.integers(0, k)] = np.abs(points).max() + 1e3
+    else:
+        init = rng.normal(size=(k, dim)) * points.std() + points.mean(axis=0)
+    return points, k, run["max_iters"], init
+
+
 def exhaustive_best_inertia(points, k):
     """Optimal inertia by enumerating every labeling with all clusters non-empty."""
     n = len(points)
@@ -211,6 +239,98 @@ class TestSequentialOracle:
             assert_same_run(*lloyd(pts, 4, 7, restarts=restarts), want)
 
 
+class TestWarmStart:
+    """`lloyd` and `lloyd_trace` with `init`: one Lloyd run from given centroids."""
+
+    def test_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(20242)
+        hits = Counter()
+        for i in range(400):
+            points, k, max_iters, init = warm_instance(rng, i)
+            cents, assignment = lloyd(
+                points, k, int(rng.integers(0, 10_000)), max_iters=max_iters,
+                restarts=1, init=CentroidSet(init),
+            )
+            want = oracle_lloyd_trace(points, k, None, max_iters=max_iters, hits=hits, init=init)
+            assert_same_run(cents, assignment, want)
+            trace_cents, trace_assignment, history = lloyd_trace(
+                points, k, 0, max_iters=max_iters, init=CentroidSet(init)
+            )
+            assert_same_run(trace_cents, trace_assignment, want)
+            assert history == want[3]
+        assert hits["empty_cluster"] > 0 and hits["max_iters"] > 0
+
+    def test_far_centroid_is_reseeded(self):
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
+        init = np.array([[0.0, 0.5], [100.0, 100.0]])
+        hits = Counter()
+        want = oracle_lloyd_trace(pts, 2, None, hits=hits, init=init)
+        assert hits["empty_cluster"] == 1
+        cents, assignment = lloyd(pts, 2, 0, restarts=1, init=CentroidSet(init))
+        assert_same_run(cents, assignment, want)
+        assert len(np.unique(assignment.labels)) == 2
+
+    def test_seed_not_read(self):
+        pts = np.random.default_rng(12).normal(size=(30, 3))
+        init = CentroidSet(pts[:4])
+        a = lloyd(pts, 4, 0, restarts=1, init=init)
+        b = lloyd(pts, 4, 999, restarts=1, init=init)
+        assert_same_run(*a, (b[0].centroids, b[1].labels, b[1].inertia))
+
+    def test_init_is_not_modified(self):
+        pts = np.random.default_rng(13).normal(size=(30, 3))
+        init = CentroidSet(pts[:4] + 0.5)
+        before = init.centroids.copy()
+        lloyd(pts, 4, 0, restarts=1, init=init)
+        np.testing.assert_array_equal(init.centroids, before)
+
+    def test_returned_assignment_is_fixed_point(self):
+        rng = np.random.default_rng(14)
+        for i in range(100):
+            points, k, max_iters, init = warm_instance(rng, i)
+            cents, assignment = lloyd(points, k, 0, max_iters=max_iters, restarts=1,
+                                      init=CentroidSet(init))
+            again = assign_nearest(points, cents)
+            np.testing.assert_array_equal(assignment.labels, again.labels)
+            # Summed in canonical order, so equal only up to rounding.
+            assert assignment.inertia == pytest.approx(again.inertia, rel=1e-12, abs=1e-300)
+
+    def test_permutation_equivariance(self):
+        rng = np.random.default_rng(15)
+        for i in range(50):
+            points, k, max_iters, init = warm_instance(rng, i)
+            perm = rng.permutation(len(points))
+            cents_a, assign_a = lloyd(points, k, 0, max_iters=max_iters, restarts=1,
+                                      init=CentroidSet(init))
+            cents_b, assign_b = lloyd(points[perm], k, 0, max_iters=max_iters, restarts=1,
+                                      init=CentroidSet(init))
+            assert cents_a.centroids.tobytes() == cents_b.centroids.tobytes()
+            np.testing.assert_array_equal(assign_a.labels[perm], assign_b.labels)
+            assert assign_a.inertia == assign_b.inertia
+
+    def test_inertia_monotone_within_run(self):
+        rng = np.random.default_rng(16)
+        for trial in range(10):
+            pts = rng.normal(size=(30, 3))
+            init = CentroidSet(rng.normal(size=(4, 3)))
+            _, _, history = lloyd_trace(pts, 4, 0, init=init)
+            assert len(history) > 2
+            assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4, 3), (4, 1)])
+    def test_init_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ShapeError, match="init"):
+            lloyd(np.zeros((6, 2)), 4, 0, restarts=1, init=CentroidSet(np.zeros(shape)))
+        with pytest.raises(ShapeError, match="init"):
+            lloyd_trace(np.zeros((6, 2)), 4, 0, init=CentroidSet(np.zeros(shape)))
+
+    @pytest.mark.parametrize("restarts", [{"restarts": 2}, {"restarts": 10}, {}])
+    def test_restarts_other_than_one_rejected(self, restarts):
+        # {} leaves `restarts` at its default of 10.
+        with pytest.raises(ContractError, match="restarts=1"):
+            lloyd(np.zeros((6, 2)), 2, 0, init=CentroidSet(np.zeros((2, 2))), **restarts)
+
+
 class TestKernelBenchmarks:
     """Per-kernel timings (pytest-benchmark), each checked against the oracle."""
 
@@ -218,6 +338,15 @@ class TestKernelBenchmarks:
         pts = np.random.default_rng(500).normal(size=(500, 32))
         cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=10)
         assert_same_run(cents, assignment, oracle_lloyd(pts, 10, 0, restarts=10))
+
+    def test_lloyd_500x32_warm(self, benchmark):
+        # A warm start as in a federated latent round: the centroids of a
+        # seeded solution on nearby points.
+        rng = np.random.default_rng(501)
+        pts = rng.normal(size=(500, 32))
+        init, _ = lloyd(pts + 0.05 * rng.normal(size=pts.shape), 10, 0, restarts=10)
+        cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=1, init=init)
+        assert_same_run(cents, assignment, oracle_lloyd_trace(pts, 10, None, init=init.centroids))
 
     def test_assign_nearest_5000x32(self, benchmark):
         rng = np.random.default_rng(5000)
