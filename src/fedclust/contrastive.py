@@ -45,13 +45,16 @@ _COS_CELLS = 16384
 @dataclass
 class ClusterBatch:
     """Rows sampled from one assigned cluster; needs >= 2 members so that
-    leave-one-out similarity is defined."""
+    leave-one-out similarity is defined. Finiteness is checked once per step,
+    when combined_loss's forward pass takes all rows together."""
 
     inputs: np.ndarray
     cluster_id: int
 
     def __post_init__(self):
-        self.inputs = as_matrix(self.inputs, "cluster batch")
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        if self.inputs.ndim != 2:
+            raise ShapeError(f"cluster batch must be 2-D, got shape {self.inputs.shape}")
         if self.inputs.shape[0] < 2:
             raise ContractError(
                 f"cluster {self.cluster_id} batch has {self.inputs.shape[0]} member(s); "

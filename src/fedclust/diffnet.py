@@ -54,10 +54,6 @@ class MlpSpec:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def param_count(self) -> int:
-        return sum(a * b + b for a, b in zip(self.layer_dims[:-1], self.layer_dims[1:]))
-
 
 @dataclass
 class MlpParams:
@@ -77,7 +73,7 @@ class MlpParams:
 
 @dataclass
 class SiameseModel:
-    """Encoder + predictor parameters plus Adam moment state.
+    """Encoder + predictor parameters plus Adam moment state (zero when built).
 
     The predictor maps the latent space to itself: encoder output dim equals
     predictor input and output dims.
@@ -85,9 +81,13 @@ class SiameseModel:
 
     encoder: MlpParams
     predictor: MlpParams
-    adam_m: list[np.ndarray] = field(default_factory=list)
-    adam_v: list[np.ndarray] = field(default_factory=list)
-    adam_t: int = 0
+    adam_m: list[np.ndarray] = field(init=False)
+    adam_v: list[np.ndarray] = field(init=False)
+    adam_t: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        self.adam_m = [np.zeros_like(a) for a in self.param_arrays()]
+        self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed traversal order (encoder then predictor)."""
@@ -107,24 +107,12 @@ class SiameseModel:
         return out
 
     @property
-    def param_count(self) -> int:
-        return sum(a.size for a in self.param_arrays())
-
-    @property
     def latent_dim(self) -> int:
         return self.encoder.weights[-1].shape[1]
 
-    def copy(self, reset_adam: bool = False) -> "SiameseModel":
-        model = SiameseModel(self.encoder.copy(), self.predictor.copy())
-        if reset_adam:
-            model.adam_m = [np.zeros_like(a) for a in model.param_arrays()]
-            model.adam_v = [np.zeros_like(a) for a in model.param_arrays()]
-            model.adam_t = 0
-        else:
-            model.adam_m = [m.copy() for m in self.adam_m]
-            model.adam_v = [v.copy() for v in self.adam_v]
-            model.adam_t = self.adam_t
-        return model
+    def copy(self) -> "SiameseModel":
+        """Deep copy of the parameters, with fresh (zero) Adam state."""
+        return SiameseModel(self.encoder.copy(), self.predictor.copy())
 
 
 @dataclass
@@ -148,7 +136,6 @@ class GradientSet:
 class ForwardTaps:
     """Cached activations from one forward_full call, consumed by backward."""
 
-    batch: np.ndarray
     enc_inputs: list[np.ndarray]
     enc_preacts: list[np.ndarray]
     pred_inputs: list[np.ndarray]
@@ -179,10 +166,7 @@ def init_model(spec_encoder: MlpSpec, spec_predictor: MlpSpec, seed: int) -> Sia
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         blocks.append(MlpParams(weights, biases))
-    model = SiameseModel(blocks[0], blocks[1])
-    model.adam_m = [np.zeros_like(a) for a in model.param_arrays()]
-    model.adam_v = [np.zeros_like(a) for a in model.param_arrays()]
-    return model
+    return SiameseModel(blocks[0], blocks[1])
 
 
 def _mlp_forward(params: MlpParams, x: np.ndarray):
@@ -238,7 +222,7 @@ def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, Fo
         raise ShapeError(f"batch has {batch.shape[1]} cols, encoder expects {in_dim}")
     z, enc_in, enc_pre = _mlp_forward(model.encoder, batch)
     p, pred_in, pred_pre = _mlp_forward(model.predictor, z)
-    return z, p, ForwardTaps(batch, enc_in, enc_pre, pred_in, pred_pre, z, p)
+    return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre, z, p)
 
 
 def backward(
@@ -285,14 +269,7 @@ def backward(
     return GradientSet(arrays)
 
 
-def adam_step(
-    model: SiameseModel,
-    grads: GradientSet,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> SiameseModel:
+def adam_step(model: SiameseModel, grads: GradientSet, lr: float) -> SiameseModel:
     """One bias-corrected Adam update, in place; returns the same model."""
     params = model.param_arrays()
     if not grads.congruent_with(model):
@@ -302,12 +279,12 @@ def adam_step(
             raise NumericError(f"non-finite gradient entry in {name}")
     model.adam_t += 1
     t = model.adam_t
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for theta, g, m, v in zip(params, grads.arrays, model.adam_m, model.adam_v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return model

@@ -354,8 +354,7 @@ def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwri
     csv_path = out / "results.csv"
     json_path = out / "results.json"
     for path in (csv_path, json_path):
-        if path.exists() and not overwrite:
-            raise ConfigError(f"{path} exists; pass --overwrite to replace it")
+        _guard_output(path, overwrite)
     records = [dict(zip(CSV_COLUMNS, astuple(row))) for row in rows]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -495,10 +494,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FedclustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FedclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -178,7 +178,7 @@ def disseminate(server: ServerState, clients: list[ClientState]) -> None:
     """Replace every connected client's model with a deep copy of the global one."""
     for client in clients:
         if client.connected:
-            client.model = server.global_model.copy(reset_adam=True)
+            client.model = server.global_model.copy()
 
 
 def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
@@ -188,7 +188,7 @@ def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
         raise ProtocolError("cannot aggregate zero client updates")
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.num_samples for u in ordered)
-    merged = ordered[0].model.copy(reset_adam=True)
+    merged = ordered[0].model.copy()
     for arr in merged.param_arrays():
         arr *= ordered[0].num_samples / total
     for update in ordered[1:]:
@@ -209,6 +209,31 @@ def aggregate_centroids(updates: list[ClientUpdate], k: int, seed: int,
         raise SizeError(f"only {stacked.shape[0]} uploaded centroids for k={k}")
     cset, _ = lloyd(stacked, k, seed, restarts=restarts)
     return cset
+
+
+def _mine(config: RunConfig, points: np.ndarray, *stream: int,
+          init: CentroidSet | None = None) -> CentroidSet:
+    """The client side of the protocol's two-level k-means (k-FED, arXiv
+    2103.00697): k centroids of one client's `points`. With `init`, one Lloyd
+    run from those centroids; otherwise `config.kmeans_restarts` seeded
+    restarts, drawing from the stream (config.seed, *stream)."""
+    cset, _ = lloyd(
+        points, config.k, _stream_seed(config.seed, *stream),
+        restarts=config.kmeans_restarts if init is None else 1, init=init,
+    )
+    return cset
+
+
+def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int) -> CentroidSet:
+    """The server side: fuse the uploaded centroids into k global ones with
+    `config.kmeans_restarts` seeded restarts from the stream (config.seed, *stream)."""
+    return aggregate_centroids(
+        updates, config.k, _stream_seed(config.seed, *stream), restarts=config.kmeans_restarts
+    )
+
+
+def _uploads(clients: list[ClientState]) -> list[ClientUpdate]:
+    return [ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids) for c in clients]
 
 
 def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None, float | None]:
@@ -232,14 +257,13 @@ def local_round(
 
     Grouping labels the local data with the nearest of `global_centroids`:
     on the raw features when `raw_space` is set (the k-FED bootstrap rounds),
-    otherwise in the encoder's latent space (using the frozen snapshot's
-    encoder when present, otherwise the client's own). Training minimizes the
-    combined loss with Adam; on the cluster-contrastive path each step centres
-    the latent targets on the mean latent of the step's rows. Mining runs
+    otherwise in the latent space of `client.model` as the round starts (in
+    `run`, the broadcast global model). Training minimizes the combined loss
+    with Adam; on the cluster-contrastive path each step centres the latent
+    targets on the mean latent of the step's rows. Mining (`_mine`) runs
     k-means on the trained encoder's latents: in a latent round with targets,
     one Lloyd run from `global_centroids`, which live in the same space;
-    otherwise (a raw-space round, or no targets yet) `config.kmeans_restarts`
-    seeded restarts.
+    otherwise (a raw-space round, or no targets yet) seeded restarts.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _S_LOCAL, round_index, client.client_id))
@@ -251,11 +275,7 @@ def local_round(
 
     reports: list[LossReport] = []
     if config.cluster_contrastive:
-        if raw_space:
-            space = features
-        else:
-            grouping_model = global_snapshot if global_snapshot is not None else client.model
-            space = diffnet.forward_encoder(grouping_model, features)
+        space = features if raw_space else diffnet.forward_encoder(client.model, features)
         labels = assign_nearest(space, global_centroids).labels
         groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
         eligible = sorted(c for c, ix in groups.items() if len(ix) >= 2)
@@ -300,14 +320,10 @@ def local_round(
                 diffnet.adam_step(client.model, grads, config.lr)
                 reports.append(report)
 
-    mined_latent = diffnet.forward_encoder(client.model, features)
-    warm = not raw_space and global_centroids is not None
-    centroids, _ = lloyd(
-        mined_latent,
-        config.k,
-        _stream_seed(config.seed, _S_LOCAL_KM, round_index, client.client_id),
-        restarts=1 if warm else config.kmeans_restarts,
-        init=global_centroids if warm else None,
+    centroids = _mine(
+        config, diffnet.forward_encoder(client.model, features),
+        _S_LOCAL_KM, round_index, client.client_id,
+        init=None if raw_space else global_centroids,
     )
     return client.model, centroids, reports
 
@@ -325,24 +341,13 @@ def run_kfed(config: RunConfig, dataset: LabeledDataset, split: FederatedSplit) 
         for client_id in range(m)
         if client_id not in disconnected
     ]
-    return assign_nearest(dataset.features, _kfed_fuse(config, updates, m))
+    return assign_nearest(dataset.features, _fuse(config, updates, _S_KFED, m))
 
 
 def _kfed_update(config: RunConfig, client_id: int, features: np.ndarray) -> ClientUpdate:
     """One client's k-FED upload: k-means centroids of its raw features."""
-    cset, _ = lloyd(
-        features,
-        config.k,
-        _stream_seed(config.seed, _S_KFED, client_id),
-        restarts=config.kmeans_restarts,
-    )
+    cset = _mine(config, features, _S_KFED, client_id)
     return ClientUpdate(client_id, features.shape[0], None, cset)
-
-
-def _kfed_fuse(config: RunConfig, updates: list[ClientUpdate], m: int) -> CentroidSet:
-    return aggregate_centroids(
-        updates, config.k, _stream_seed(config.seed, _S_KFED, m), restarts=config.kmeans_restarts
-    )
 
 
 def _evaluate(
@@ -439,12 +444,13 @@ def run(
     the encoder first learns the raw groups, and most of the run is left to
     refine them in the latent space.
 
-    k-means runs `kmeans_restarts` seeded restarts in the bootstrap, in the
-    raw-space rounds' mining, in SCFC's first round (which has no centroids
-    yet), in every server fusion and in KFED. Every other round's mining
-    (cluster-contrastive rounds after R, SCFC rounds after the first) is one
-    Lloyd run from the latent centroids the client was given: the broadcast
-    global centroids, or a standalone client's own previous ones.
+    Every k-means of the protocol is a client's `_mine` or the server's
+    `_fuse`. Both run `kmeans_restarts` seeded restarts in the bootstrap, in
+    the raw-space rounds' mining, in SCFC's first round (which has no
+    centroids yet), in every server fusion and in KFED. Every other round's
+    mining (cluster-contrastive rounds after R, SCFC rounds after the first)
+    is one Lloyd run from the latent centroids the client was given: the
+    broadcast global centroids, or a standalone client's own previous ones.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation, or the bootstrap's in a
@@ -476,7 +482,7 @@ def run(
         ClientState(
             client_id=l,
             features=dataset.features[split.client_indices[l]],
-            model=server.global_model.copy(reset_adam=True),
+            model=server.global_model.copy(),
             connected=l not in disconnected,
         )
         for l in range(m)
@@ -493,37 +499,21 @@ def run(
         if config.standalone:
             raw_targets = {u.client_id: u.centroids for u in raw_updates}
         else:
-            fused = _kfed_fuse(config, raw_updates, m)
+            fused = _fuse(config, raw_updates, _S_KFED, m)
             raw_targets = {u.client_id: fused for u in raw_updates}
     elif config.rounds == 0:
         for client in connected:
             latents = diffnet.forward_encoder(client.model, client.features)
-            cset, _ = lloyd(
-                latents,
-                config.k,
-                _stream_seed(config.seed, _S_BOOT_KM, client.client_id),
-                restarts=config.kmeans_restarts,
-            )
-            client.centroids = cset
+            client.centroids = _mine(config, latents, _S_BOOT_KM, client.client_id)
         if not config.standalone:
-            updates = [
-                ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids) for c in connected
-            ]
-            server.global_centroids = aggregate_centroids(
-                updates, config.k, _stream_seed(config.seed, _S_BOOT_FUSE),
-                restarts=config.kmeans_restarts,
-            )
+            server.global_centroids = _fuse(config, _uploads(connected), _S_BOOT_FUSE)
     if config.standalone:
         # Disconnected clients never train, so their rows are labeled by
         # k-means on their initial model's latents, mined once here.
         for client in clients:
             if not client.connected:
-                client.centroids, _ = lloyd(
-                    diffnet.forward_encoder(client.model, client.features),
-                    config.k,
-                    _stream_seed(config.seed, _S_LAZY, client.client_id),
-                    restarts=config.kmeans_restarts,
-                )
+                latents = diffnet.forward_encoder(client.model, client.features)
+                client.centroids = _mine(config, latents, _S_LAZY, client.client_id)
 
     records: list[RoundRecord] = []
     evaluation = None
@@ -544,15 +534,9 @@ def run(
             client.model, client.centroids = model, centroids
             round_reports.extend(reports)
         if not config.standalone:
-            updates = [
-                ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids)
-                for c in connected
-            ]
+            updates = _uploads(connected)
             server.global_model = aggregate_models(updates)
-            server.global_centroids = aggregate_centroids(
-                updates, config.k, _stream_seed(config.seed, _S_FUSE, round_index),
-                restarts=config.kmeans_restarts,
-            )
+            server.global_centroids = _fuse(config, updates, _S_FUSE, round_index)
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

@@ -15,11 +15,7 @@ the returned assignment is a fixed point of `assign_nearest` on the returned
 centroids.
 
 A run from `init` takes the same loop, empty-cluster reseed, stop rule and
-final labeling, so it keeps the equivariance and the fixed point. The
-federated protocol warm-starts each client's latent-round mining this way,
-from the centroids the server broadcast; the bootstrap, the raw-space
-rounds, SCFC's first round, server fusion and the KFED baseline run
-`kmeans_restarts` seeded restarts.
+final labeling, so it keeps the equivariance and the fixed point.
 """
 
 from __future__ import annotations

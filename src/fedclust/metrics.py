@@ -13,7 +13,6 @@ int64 arithmetic by `_max_assignment`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +20,6 @@ from .diffnet import as_matrix
 from .errors import ConfigError, MetricError, ShapeError
 
 KAPPA_MAX_CLUSTERS = 64
-
-
-@dataclass
-class ContingencyTable:
-    """Joint counts of predicted clusters (rows) against true classes (columns)."""
-
-    counts: np.ndarray
-    n: int
 
 
 def _as_labels(labels, name: str) -> np.ndarray:
@@ -40,7 +31,8 @@ def _as_labels(labels, name: str) -> np.ndarray:
     return arr
 
 
-def contingency(pred_labels, true_labels) -> ContingencyTable:
+def contingency(pred_labels, true_labels) -> np.ndarray:
+    """Joint counts of predicted clusters (rows) against true classes (columns)."""
     pred = _as_labels(pred_labels, "pred_labels")
     true = _as_labels(true_labels, "true_labels")
     if pred.size != true.size:
@@ -48,14 +40,14 @@ def contingency(pred_labels, true_labels) -> ContingencyTable:
     kp, kt = int(pred.max()) + 1, int(true.max()) + 1
     counts = np.zeros((kp, kt), dtype=np.int64)
     np.add.at(counts, (pred, true), 1)
-    return ContingencyTable(counts, int(pred.size))
+    return counts
 
 
 def nmi(pred_labels, true_labels) -> float:
     """Normalized mutual information, geometric-mean normalization, natural logs."""
-    table = contingency(pred_labels, true_labels)
-    n = table.n
-    joint = table.counts / n
+    counts = contingency(pred_labels, true_labels)
+    n = int(counts.sum())
+    joint = counts / n
     pp = joint.sum(axis=1)
     pt = joint.sum(axis=0)
     h_pred = float(-sum(p * math.log(p) for p in pp if p > 0))
@@ -141,16 +133,16 @@ def kappa(pred_labels, true_labels) -> float:
     Where (n*n + 1) * n reaches 2**53 that score is inexact in float64, so
     the matching uses the matched count alone and leaves its ties unresolved.
     """
-    table = contingency(pred_labels, true_labels)
-    kp, kt = table.counts.shape
+    observed = contingency(pred_labels, true_labels)
+    kp, kt = observed.shape
     if kp > KAPPA_MAX_CLUSTERS or kt > KAPPA_MAX_CLUSTERS:
         raise ConfigError(
             f"kappa supports at most {KAPPA_MAX_CLUSTERS} clusters, got {max(kp, kt)}"
         )
     q = max(kp, kt)
     counts = np.zeros((q, q), dtype=np.int64)
-    counts[:kp, :kt] = table.counts
-    n = table.n
+    counts[:kp, :kt] = observed
+    n = int(observed.sum())
     score = counts
     if (n * n + 1) * n < 2**53:
         score = (n * n + 1) * counts - np.outer(counts.sum(axis=1), counts.sum(axis=0))

@@ -160,6 +160,20 @@ class TestClusterContrastiveLoss:
         with pytest.raises(ContractError):
             ClusterBatch(np.ones((1, 4)), 0)
 
+    def test_batch_not_2d_rejected(self):
+        with pytest.raises(ShapeError):
+            ClusterBatch(np.ones((2, 2, 4)), 0)
+
+    def test_nonfinite_row_raises_in_combined_loss(self):
+        # A batch is not scanned when built; the step's one forward pass over
+        # all stacked rows rejects the non-finite entry.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 4))
+        x[1, 2] = np.nan
+        batches = [ClusterBatch(rng.normal(size=(2, 4)), 0), ClusterBatch(x, 1)]
+        with pytest.raises(NumericError):
+            combined_loss(make_model(), None, batches, lam=0.0)
+
     def test_range_bound(self):
         rng = np.random.default_rng(9)
         model = make_model(seed=2)

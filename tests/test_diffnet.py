@@ -196,12 +196,6 @@ class TestInit:
         b = make_model(seed=2)
         assert any(np.any(x != y) for x, y in zip(a.param_arrays(), b.param_arrays()))
 
-    def test_param_count(self):
-        spec = MlpSpec((4, 8, 2))
-        assert spec.param_count == 4 * 8 + 8 + 8 * 2 + 2  # 58
-        model = init_model(MlpSpec((4, 8, 2)), MlpSpec((2, 2)), seed=0)
-        assert model.param_count == 58 + 2 * 2 + 2
-
     def test_weight_bound(self):
         model = make_model(seed=4)
         w = model.encoder.weights[0]

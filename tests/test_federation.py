@@ -60,7 +60,7 @@ def make_clients(ds, split, config):
         seed=config.seed,
     )
     return model, [
-        ClientState(l, ds.features[idx], model.copy(reset_adam=True))
+        ClientState(l, ds.features[idx], model.copy())
         for l, idx in enumerate(split.client_indices)
     ]
 

@@ -177,7 +177,7 @@ class TestKappa:
             n = int(rng.integers(2, 300))
             pred = _compact(rng.integers(0, int(rng.integers(1, 13)), size=n))
             true = _compact(rng.integers(0, int(rng.integers(1, 13)), size=n))
-            counts = metrics.contingency(pred, true).counts
+            counts = metrics.contingency(pred, true)
             q = max(counts.shape)
             square = np.zeros((q, q), dtype=np.int64)
             square[: counts.shape[0], : counts.shape[1]] = counts
