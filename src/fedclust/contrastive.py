@@ -4,8 +4,10 @@ Two terms share one forward pass: the cluster-contrastive loss (negative mean
 cosine similarity of each member's prediction to the other members' latents,
 latents treated as constants) and the model-agreement regularizer (negative
 cosine similarity between local and frozen-global predictions on the same
-inputs). Gradients w.r.t. network outputs are exact; parameter gradients are
-composed through diffnet.backward.
+inputs). The frozen global model does not change during a round, so the
+caller passes its predictions for the step's rows (`global_pred`) instead of
+the model. Gradients w.r.t. network outputs are exact; parameter gradients
+are composed through diffnet.backward.
 
 The cluster term normalises every batch row in one pass, then takes each run
 of consecutive equal-size batches as (batches, size, dim) views: one batched
@@ -16,14 +18,15 @@ the upstream gradient, and allocates at most _COS_CELLS cosines at a time,
 because at a training step's shape fresh (batches, size, dim) temporaries
 cost more to fault in than the arithmetic on them.
 
-The latent targets may be centred: combined_loss subtracts a constant centre c
-from every target, so each prediction is pulled toward z_j - c instead of z_j.
-Training passes c = the mean latent of the step's rows (batch_center), as DINO
-centres its teacher outputs (arXiv 2104.14294). Uncentred, every target shares
-the common mean component of the latents, and aligning all predictions with
-that one direction lowers the loss for every cluster at once, so training
-drives the latents onto a single direction. Centring removes that shared
-component and leaves the differences between clusters as the targets.
+The latent targets may be centred: combined_loss subtracts a centre c from
+every target, so each prediction is pulled toward z_j - c instead of z_j.
+Training passes `batch_center`, which combined_loss applies to the latents of
+its own forward pass, so c is the mean latent of the step's batch rows, as
+DINO centres its teacher outputs (arXiv 2104.14294). Uncentred, every target
+shares the common mean component of the latents, and aligning all predictions
+with that one direction lowers the loss for every cluster at once, so
+training drives the latents onto a single direction. Centring removes that
+shared component and leaves the differences between clusters as the targets.
 """
 
 from __future__ import annotations
@@ -141,26 +144,17 @@ def _regularizer_terms(p_local: np.ndarray, p_global: np.ndarray):
     return value, dp
 
 
-def _check_same_specs(local: SiameseModel, global_snapshot: SiameseModel) -> None:
-    if (
-        local.encoder.spec != global_snapshot.encoder.spec
-        or local.predictor.spec != global_snapshot.predictor.spec
-    ):
-        raise ShapeError("local and global models have different layer specs")
-
-
-def batch_center(model: SiameseModel, batches: list[ClusterBatch]) -> np.ndarray:
-    """Mean latent of all rows in one step's cluster batches: the centre that
-    training subtracts from the latent targets."""
-    if not batches:
-        raise ContractError("need at least one cluster batch")
-    rows = np.vstack([b.inputs for b in batches])
-    return diffnet.forward_encoder(model, rows).mean(axis=0)
+def batch_center(latents: np.ndarray) -> np.ndarray:
+    """Mean of a step's batch latents: the centre that training subtracts from
+    the latent targets. combined_loss calls it on its own forward pass."""
+    if not len(latents):
+        raise ContractError("need at least one latent row")
+    return latents.mean(axis=0)
 
 
 def combined_loss(
     model: SiameseModel,
-    global_snapshot: SiameseModel | None,
+    global_pred: np.ndarray | None,
     batches: list[ClusterBatch],
     lam: float,
     solo_inputs=None,
@@ -171,18 +165,21 @@ def combined_loss(
 
     Each batch of b rows adds 1 / (len(batches) * b) times its leave-one-out
     loss sum to the cluster term, in batch order. `solo_inputs` rows (members
-    of singleton clusters) join only the regularizer mean. With lam == 0 the
-    regularizer and the global forward pass are skipped entirely. `center`, a
-    latent-space vector, is subtracted from every latent target of the cluster
-    term; like the targets it is a constant, so it carries no gradient. With
-    center None the targets are the latents themselves.
+    of singleton clusters) join only the regularizer mean. `global_pred` holds
+    the frozen global model's predictions for the step's rows, stacked as the
+    forward pass stacks them (batch rows in batch order, then solo rows); with
+    lam == 0 the regularizer is skipped and `global_pred` may be None.
+
+    `center` is subtracted from every latent target of the cluster term: a
+    latent-space vector, or a function (such as `batch_center`) that maps the
+    step's batch latents to one. Like the targets it is a constant, so it
+    carries no gradient. With center None the targets are the latents
+    themselves.
     """
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    if lam > 0 and global_snapshot is None:
-        raise ConfigError("lambda > 0 requires a global snapshot")
-    if global_snapshot is not None:
-        _check_same_specs(model, global_snapshot)
+    if lam > 0 and global_pred is None:
+        raise ConfigError("lambda > 0 requires the global model's predictions")
 
     parts = [b.inputs for b in batches]
     if solo_inputs is not None and len(solo_inputs):
@@ -192,12 +189,14 @@ def combined_loss(
     x_all = np.vstack(parts)
 
     z, p, taps = diffnet.forward_full(model, x_all)
+    if global_pred is not None and np.shape(global_pred) != p.shape:
+        raise ShapeError(f"global predictions shape {np.shape(global_pred)} != {p.shape}")
     sizes = [b.size for b in batches]
     m = sum(sizes)
     if center is None:
         targets = z[:m].copy()
     else:
-        center = np.asarray(center, dtype=np.float64)
+        center = np.asarray(center(z[:m]) if callable(center) else center, dtype=np.float64)
         if center.shape != (z.shape[1],):
             raise ShapeError(f"center shape {center.shape} != latent shape ({z.shape[1]},)")
         targets = z[:m] - center
@@ -206,10 +205,7 @@ def combined_loss(
 
     regularizer = 0.0
     if lam > 0:
-        assert global_snapshot is not None
-        zg = diffnet.forward_encoder(global_snapshot, x_all)
-        pg = diffnet.forward_predictor(global_snapshot, zg)
-        raw, dp_reg = _regularizer_terms(p, pg)
+        raw, dp_reg = _regularizer_terms(p, global_pred)
         regularizer = lam * raw
         upstream += lam * dp_reg
 

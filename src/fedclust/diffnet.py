@@ -181,7 +181,10 @@ def _mlp_forward(params: MlpParams, x: np.ndarray):
     return a, inputs, preacts
 
 
-def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray):
+def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
+                  input_grad: bool = True):
+    """Weight and bias gradients, plus the gradient w.r.t. the MLP's input
+    when `input_grad` is set (None otherwise)."""
     last = len(params.weights) - 1
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.weights)
@@ -190,7 +193,7 @@ def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray):
         ds = g if i == last else g * (preacts[i] > 0.0)
         grads_w[i] = inputs[i].T @ ds
         grads_b[i] = ds.sum(axis=0)
-        g = ds @ params.weights[i].T
+        g = ds @ params.weights[i].T if i or input_grad else None
     return grads_w, grads_b, g
 
 
@@ -257,7 +260,9 @@ def backward(
                 f"grad_latent shape {grad_latent.shape} != latent shape {taps.z.shape}"
             )
         gz = gz + grad_latent
-    enc_w, enc_b, _ = _mlp_backward(model.encoder, taps.enc_inputs, taps.enc_preacts, gz)
+    enc_w, enc_b, _ = _mlp_backward(
+        model.encoder, taps.enc_inputs, taps.enc_preacts, gz, input_grad=False
+    )
 
     arrays = []
     for gw, gb in zip(enc_w, enc_b):

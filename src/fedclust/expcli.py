@@ -347,14 +347,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _result_paths(out_dir, overwrite: bool) -> tuple[Path, Path]:
+    """results.csv and results.json under `out_dir`; raises ConfigError if
+    either exists and `overwrite` is not set."""
+    paths = (Path(out_dir) / "results.csv", Path(out_dir) / "results.json")
+    for path in paths:
+        _guard_output(path, overwrite)
+    return paths
+
+
 def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwrite: bool) -> tuple[Path, Path]:
     """Write results.csv and results.json (with the effective config embedded)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    json_path = out / "results.json"
-    for path in (csv_path, json_path):
-        _guard_output(path, overwrite)
+    csv_path, json_path = _result_paths(out_dir, overwrite)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     records = [dict(zip(CSV_COLUMNS, astuple(row))) for row in rows]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -443,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, args.overrides)
+    _result_paths(args.out, args.overwrite)  # refuse before running the grid
     rows = run_experiment(cfg)
     csv_path, json_path = write_results(rows, cfg, args.out, args.overwrite)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)

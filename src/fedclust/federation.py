@@ -245,6 +245,11 @@ def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None
     return t, c, g
 
 
+def _predict(model: SiameseModel, x: np.ndarray) -> np.ndarray:
+    """The model's predictions for the rows of x: p = h(f(x))."""
+    return diffnet.forward_predictor(model, diffnet.forward_encoder(model, x))
+
+
 def local_round(
     client: ClientState,
     global_snapshot: SiameseModel | None,
@@ -260,10 +265,21 @@ def local_round(
     otherwise in the latent space of `client.model` as the round starts (in
     `run`, the broadcast global model). Training minimizes the combined loss
     with Adam; on the cluster-contrastive path each step centres the latent
-    targets on the mean latent of the step's rows. Mining (`_mine`) runs
-    k-means on the trained encoder's latents: in a latent round with targets,
-    one Lloyd run from `global_centroids`, which live in the same space;
-    otherwise (a raw-space round, or no targets yet) seeded restarts.
+    targets on the mean latent of the step's batch rows, taken from the
+    step's own forward pass. Mining (`_mine`) runs k-means on the trained
+    encoder's latents: in a latent round with targets, one Lloyd run from
+    `global_centroids`, which live in the same space; otherwise (a raw-space
+    round, or no targets yet) seeded restarts.
+
+    The regularized variants encode and predict every local row with the
+    frozen `global_snapshot` once, as the round starts. A step reads its rows'
+    global predictions from there, and a latent round groups on those
+    latents (`client.model` equals the snapshot then). SCFC steps encode only
+    their augmented views with the snapshot. At the desk widths a matrix
+    product gives each row the same bits whatever rows it is stacked with,
+    except in a one-row product, so these match a pass over the step's own
+    rows; a one-row client's SCFC step, whose pass is its row and its view,
+    encodes that pair directly.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _S_LOCAL, round_index, client.client_id))
@@ -271,11 +287,16 @@ def local_round(
     features = client.features
     n_local = features.shape[0]
     lam_eff = config.lam if config.regularized else 0.0
-    snapshot = global_snapshot if config.regularized else None
+    global_z = global_p = None
+    if lam_eff > 0:
+        global_z = diffnet.forward_encoder(global_snapshot, features)
+        global_p = diffnet.forward_predictor(global_snapshot, global_z)
 
     reports: list[LossReport] = []
     if config.cluster_contrastive:
-        space = features if raw_space else diffnet.forward_encoder(client.model, features)
+        space = features if raw_space else global_z
+        if space is None:
+            space = diffnet.forward_encoder(client.model, features)
         labels = assign_nearest(space, global_centroids).labels
         groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
         eligible = sorted(c for c, ix in groups.items() if len(ix) >= 2)
@@ -288,18 +309,20 @@ def local_round(
         )
         for _ in range(config.local_epochs):
             for _ in range(steps):
-                batches = []
+                batches, rows = [], []
                 for c in eligible:
                     ix = groups[c]
                     take = min(config.batch_max, len(ix))
                     sel = np.sort(rng.choice(ix, size=take, replace=False))
                     batches.append(ClusterBatch(features[sel], c))
+                    rows.append(sel)
                 solo = features[solo_idx] if (len(solo_idx) and lam_eff > 0) else None
                 if not batches and solo is None:
                     continue
-                center = contrastive.batch_center(client.model, batches) if batches else None
+                global_pred = global_p[np.concatenate(rows + [solo_idx])] if lam_eff > 0 else None
+                center = contrastive.batch_center if batches else None
                 report, grads = contrastive.combined_loss(
-                    client.model, snapshot, batches, lam_eff, solo, center
+                    client.model, global_pred, batches, lam_eff, solo, center
                 )
                 diffnet.adam_step(client.model, grads, config.lr)
                 reports.append(report)
@@ -314,8 +337,14 @@ def local_round(
                 )
                 pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
                 batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
+                global_pred = None
+                if lam_eff > 0 and take > 1:
+                    view_pred = _predict(global_snapshot, views)
+                    global_pred = np.stack((global_p[sel], view_pred), axis=1).reshape(2 * take, -1)
+                elif lam_eff > 0:
+                    global_pred = _predict(global_snapshot, pairs.reshape(2, -1))
                 report, grads = contrastive.combined_loss(
-                    client.model, snapshot, batches, lam_eff, None
+                    client.model, global_pred, batches, lam_eff, None
                 )
                 diffnet.adam_step(client.model, grads, config.lr)
                 reports.append(report)

@@ -72,8 +72,9 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray
 
 # The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
 # per-point |x|^2 term is dropped). Its labels may differ from the exact
-# differences on distance ties, so per-point inertia is always recomputed
-# from the differences for the assigned centroid only. Both take the
+# differences on distance ties, so a per-point squared distance (a reseed's
+# residuals, the trace's inertia history, the final inertia) is always
+# recomputed from the differences for the assigned centroid only. Both take the
 # centroids of several runs stacked as (runs, k, dim), return (runs, n) and
 # work in `out`, a (runs, n, k) or (runs, n, dim) array.
 def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -209,11 +210,13 @@ def _group_sums(points: np.ndarray, groups: np.ndarray, count: int, out: np.ndar
 
 
 def _runs(
-    points, k: int, seeds, max_iters: int, tol: float, init: CentroidSet | None = None
+    points, k: int, seeds, max_iters: int, tol: float, init: CentroidSet | None = None,
+    history: bool = False,
 ) -> list[tuple[CentroidSet, Assignment, list[float]]]:
     """One Lloyd run per seed, all stepped together, or one run from `init`'s
     rows when it is given (`seeds` is then not read). Returns, per run, the
-    centroids, the assignment and the inertia at every assignment step."""
+    centroids, the assignment and, with `history`, the inertia at every
+    assignment step plus the final one (an empty list without)."""
     order, canon = _canonical(points, k)
     n, dim = canon.shape
     # Scratch arrays reused at every step: a fresh array of this size takes
@@ -235,9 +238,10 @@ def _runs(
         current = centroids[active]
         runs = len(active)
         labels_c = _argmin_labels(canon, current, scores[:runs])
-        point_d2 = _assigned_sq_dists(canon, current, labels_c, work[:runs])
-        for r, inertia in zip(active, point_d2.sum(axis=1).tolist()):
-            histories[r].append(inertia)
+        if history:
+            point_d2 = _assigned_sq_dists(canon, current, labels_c, work[:runs])
+            for r, inertia in zip(active, point_d2.sum(axis=1).tolist()):
+                histories[r].append(inertia)
 
         groups = (labels_c + k * np.arange(runs)[:, None]).ravel()
         sums, sizes = _group_sums(canon, groups, runs * k, work[:runs].reshape(runs * n, dim))
@@ -247,9 +251,10 @@ def _runs(
         new_centroids = new_centroids.reshape(runs, k, dim)
         nonempty = nonempty.reshape(runs, k)
         # Reseed each empty cluster to the point currently farthest from its
-        # assigned centroid; ties break toward canonical order.
+        # assigned centroid; ties break toward canonical order. Only such a
+        # run needs the points' residuals, so only it computes them.
         for i in np.flatnonzero(~nonempty.all(axis=1)):
-            residual = point_d2[i].copy()
+            residual = _assigned_sq_dists(canon, current[i:i + 1], labels_c[i:i + 1], work[:1])[0]
             for c in np.flatnonzero(~nonempty[i]):
                 far = int(np.argmax(residual))
                 new_centroids[i, c] = canon[far]
@@ -269,9 +274,10 @@ def _runs(
     labels = np.empty_like(labels_c)
     labels[:, order] = labels_c
     out = []
-    for cents, run_labels, inertia, history in zip(centroids, labels, inertias, histories):
-        history.append(inertia)
-        out.append((CentroidSet(cents), Assignment(run_labels, inertia), history))
+    for cents, run_labels, inertia, steps in zip(centroids, labels, inertias, histories):
+        if history:
+            steps.append(inertia)
+        out.append((CentroidSet(cents), Assignment(run_labels, inertia), steps))
     return out
 
 
@@ -290,7 +296,7 @@ def lloyd_trace(
     canonically ordered copy of the points, so the outcome is bit-identical
     under any permutation of the input rows.
     """
-    return _runs(points, k, [seed], max_iters, tol, init)[0]
+    return _runs(points, k, [seed], max_iters, tol, init, history=True)[0]
 
 
 def lloyd(
@@ -304,6 +310,10 @@ def lloyd(
 ) -> tuple[CentroidSet, Assignment]:
     """Best of `restarts` Lloyd runs (seeds seed+0 .. seed+restarts-1), lowest
     inertia; the first such run on ties.
+
+    The returned `Assignment.inertia` is summed in the canonical row order, so
+    it can differ in the last bits from `assign_nearest(points, centroids)`'s
+    sum over the same labels in input order.
 
     With `init`, one Lloyd run from its rows instead: `seed` is not read,
     `restarts` must be 1, and `init` must hold k centroids of the points' dim.

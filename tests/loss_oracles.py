@@ -2,8 +2,12 @@
 batch at a time, and the agreement regularizer evaluated on its own.
 
 `fedclust.contrastive.combined_loss` runs the cluster term as one stacked pass
-per run of equal-size batches. `per_batch_combined_loss` is the same objective
-written batch by batch, and the two must agree bit for bit.
+per run of equal-size batches and takes the frozen global model's predictions
+as an argument. `per_batch_combined_loss` is the same objective written batch
+by batch, running the global model's forward pass over the step's rows
+itself, and the two must agree bit for bit. `global_predictions` and
+`step_center` build combined_loss's inputs from separate passes over a
+step's rows.
 """
 
 import numpy as np
@@ -94,14 +98,37 @@ def model_contrastive_regularizer(local, global_snapshot, batch):
     return regularizer_terms(p_local, p_global)
 
 
-def per_batch_combined_loss(model, global_snapshot, batches, lam, solo_inputs=None, center=None):
-    """combined_loss evaluated one cluster batch at a time: (contrastive,
-    regularizer, total) and the parameter gradients."""
+def step_rows(batches, solo_inputs=None):
+    """A step's rows stacked as combined_loss stacks them: batch rows in batch
+    order, then the solo rows."""
     parts = [b.inputs for b in batches]
     if solo_inputs is not None and len(solo_inputs):
         parts.append(as_matrix(solo_inputs, "solo inputs"))
-    x_all = np.vstack(parts)
+    return np.vstack(parts)
+
+
+def global_predictions(global_snapshot, batches, solo_inputs=None):
+    """The frozen model's predictions for a step's stacked rows, from one
+    forward pass over those rows."""
+    x_all = step_rows(batches, solo_inputs)
+    return diffnet.forward_predictor(global_snapshot, diffnet.forward_encoder(global_snapshot, x_all))
+
+
+def step_center(model, batches):
+    """Mean latent of a step's batch rows, from a separate encoder pass over
+    them: the constant that combined_loss's `batch_center` centre must equal."""
+    rows = np.vstack([b.inputs for b in batches])
+    return diffnet.forward_encoder(model, rows).mean(axis=0)
+
+
+def per_batch_combined_loss(model, global_snapshot, batches, lam, solo_inputs=None, center=None):
+    """combined_loss evaluated one cluster batch at a time: (contrastive,
+    regularizer, total) and the parameter gradients. A function `center`
+    gets the batch rows' latents of the step's forward pass."""
+    x_all = step_rows(batches, solo_inputs)
     z, p, taps = diffnet.forward_full(model, x_all)
+    if callable(center):
+        center = center(z[:sum(b.size for b in batches)])
     targets = z if center is None else z - np.asarray(center, dtype=np.float64)
     upstream = np.zeros_like(p)
 

@@ -26,6 +26,7 @@ from fedclust.diffnet import MlpSpec, init_model
 from fedclust.federation import ClientUpdate, RunConfig, aggregate_models
 from fedclust.kmeans import CentroidSet, assign_nearest, lloyd, lloyd_trace
 
+from loss_oracles import step_center
 from test_contrastive import fd_gradient_error
 from test_metrics import oracle_kappa, oracle_nmi
 
@@ -129,7 +130,7 @@ def test_criterion_1_gradient_oracle():
         worst = max(worst, fd_gradient_error(model, snapshot, batches, lam))
         # The same instance with centred targets, using the engine's centre
         # (the mean latent of the step's rows).
-        center = contrastive.batch_center(model, batches)
+        center = step_center(model, batches)
         worst = max(worst, fd_gradient_error(model, snapshot, batches, lam, center=center))
         count += 1
     elapsed = time.time() - start
@@ -243,8 +244,9 @@ def test_criterion_7_collapse_sentinel():
             take = min(16, len(members))
             sel = rng.choice(members, size=take, replace=False)
             batches.append(ClusterBatch(dataset.features[sel], c))
-        center = contrastive.batch_center(model, batches)
-        _, grads = contrastive.combined_loss(model, None, batches, lam=0.0, center=center)
+        _, grads = contrastive.combined_loss(
+            model, None, batches, lam=0.0, center=contrastive.batch_center
+        )
         diffnet.adam_step(model, grads, lr=1e-3)
 
     trained = diffnet.forward_encoder(model, dataset.features)

@@ -1,6 +1,7 @@
 """Loss-layer checks: hand-rolled cosine oracles, stop-gradient behavior,
 finite-difference verification of the composite objective, and bitwise
-agreement of the stacked cluster term with the per-batch oracle."""
+agreement of the stacked cluster term, the passed-in global predictions and
+the forward-pass centre with the per-batch oracle."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import ConfigError, ContractError, NumericError, ShapeError
 from loss_oracles import (
     cluster_contrastive_loss,
+    global_predictions,
     model_contrastive_regularizer,
     pairwise_cosine_loss,
     per_batch_combined_loss,
+    step_center,
 )
 
 
@@ -63,7 +66,8 @@ def fd_gradient_error(model, snapshot, batches, lam, h=1e-5, center=None):
             z = z - center
         frozen.append(z / np.linalg.norm(z, axis=1, keepdims=True))
 
-    report, grads = combined_loss(model, snapshot, batches, lam, center=center)
+    global_pred = global_predictions(snapshot, batches)
+    report, grads = combined_loss(model, global_pred, batches, lam, center=center)
     base = frozen_objective(model, snapshot, batches, lam, frozen)
     assert abs(base - report.total) < 1e-12  # same objective at the base point
 
@@ -133,7 +137,8 @@ def cluster_term(model, batches):
 
 def regularizer_term(local, snapshot, x):
     # With lam = 1 the regularizer term is the raw agreement penalty.
-    report, _ = combined_loss(local, snapshot, [ClusterBatch(x, 0)], lam=1.0)
+    batches = [ClusterBatch(x, 0)]
+    report, _ = combined_loss(local, global_predictions(snapshot, batches), batches, lam=1.0)
     return report.regularizer_term
 
 
@@ -218,10 +223,20 @@ class TestRegularizer:
         )
 
     def test_spec_mismatch(self):
-        local = make_model(d=4)
-        remote = make_model(d=5)
+        # Predictions of a global model with another latent width, or for
+        # another number of rows, do not fit the step.
+        local = make_model(d=4, z=3)
+        remote = make_model(d=4, z=5)
+        batches = [ClusterBatch(np.ones((2, 4)), 0)]
         with pytest.raises(ShapeError):
-            combined_loss(local, remote, [ClusterBatch(np.ones((2, 4)), 0)], lam=0.1)
+            combined_loss(local, global_predictions(remote, batches), batches, lam=0.1)
+        short = global_predictions(local, [ClusterBatch(np.ones((3, 4)), 0)])
+        with pytest.raises(ShapeError):
+            combined_loss(local, short, batches, lam=0.1)
+
+    def test_missing_global_predictions_rejected(self):
+        with pytest.raises(ConfigError):
+            combined_loss(make_model(), None, [ClusterBatch(np.ones((2, 4)), 0)], lam=0.1)
 
 
 class TestCombinedLoss:
@@ -229,7 +244,7 @@ class TestCombinedLoss:
         model = make_model(seed=6)
         rng = np.random.default_rng(7)
         batches = [ClusterBatch(rng.normal(size=(3, 4)), 0)]
-        report, grads = combined_loss(model.copy(), model.copy(), batches, lam=0.0)
+        report, grads = combined_loss(model.copy(), None, batches, lam=0.0)
         value, _, _ = cluster_contrastive_loss(model, batches)
         assert report.total == report.contrastive_term == pytest.approx(value, abs=1e-14)
         assert report.regularizer_term == 0.0
@@ -249,7 +264,8 @@ class TestCombinedLoss:
         model = identity_predictor_model(d=3)
         model.encoder.weights[0][:] = np.eye(3)
         x = np.vstack([[1.0, 0.5, 0.0]] * 3) * np.array([[1], [2], [3.0]])
-        report, _ = combined_loss(model, model.copy(), [ClusterBatch(x, 0)], lam=lam)
+        batches = [ClusterBatch(x, 0)]
+        report, _ = combined_loss(model, global_predictions(model.copy(), batches), batches, lam=lam)
         assert report.contrastive_term == pytest.approx(-1.0)
         assert report.regularizer_term == pytest.approx(-lam)
         assert report.total == pytest.approx(-1.0 - lam)
@@ -258,7 +274,7 @@ class TestCombinedLoss:
     def test_negative_lambda_rejected(self):
         model = make_model()
         with pytest.raises(ConfigError):
-            combined_loss(model, model.copy(), [ClusterBatch(np.ones((2, 4)), 0)], lam=-1.0)
+            combined_loss(model, None, [ClusterBatch(np.ones((2, 4)), 0)], lam=-1.0)
 
     @pytest.mark.parametrize("b,k,lam", [(2, 1, 0.0), (3, 2, 0.1), (5, 3, 1.0)])
     def test_gradient_matches_finite_differences(self, b, k, lam):
@@ -276,7 +292,7 @@ class TestCombinedLoss:
         model = make_model(seed=b + k)
         snapshot = make_model(seed=50 + b)
         batches = [ClusterBatch(rng.normal(size=(b, 4)), c) for c in range(k)]
-        center = contrastive.batch_center(model, batches)
+        center = step_center(model, batches)
         assert np.linalg.norm(center) > 1e-3
         worst = fd_gradient_error(model, snapshot, batches, lam, center=center)
         assert worst < 1e-4
@@ -286,13 +302,40 @@ class TestCombinedLoss:
         snapshot = make_model(seed=13)
         rng = np.random.default_rng(14)
         batches = [ClusterBatch(rng.normal(size=(4, 4)), c) for c in range(2)]
-        plain, g_plain = combined_loss(model, snapshot, batches, lam=0.2)
+        global_pred = global_predictions(snapshot, batches)
+        plain, g_plain = combined_loss(model, global_pred, batches, lam=0.2)
         zero, g_zero = combined_loss(
-            model, snapshot, batches, lam=0.2, center=np.zeros(model.latent_dim)
+            model, global_pred, batches, lam=0.2, center=np.zeros(model.latent_dim)
         )
         assert plain == zero
         for a, b in zip(g_plain.arrays, g_zero.arrays):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("solo_rows", [0, 3])
+    def test_function_centre_matches_a_separate_encoder_pass(self, solo_rows):
+        # At the desk widths, the centre combined_loss takes from its own
+        # forward pass is batch_center of a separate encoder pass over the
+        # batch rows alone, bit for bit, also when solo rows join the pass.
+        # That rests on the BLAS giving each product row the same bits
+        # whatever rows it is stacked with, which holds at these widths but
+        # not at every width.
+        model, snapshot = desk_models()
+        rng = np.random.default_rng(70 + solo_rows)
+        batches = [ClusterBatch(rng.normal(size=(s, 32)), c)
+                   for c, s in enumerate((64, 64, 17, 5, 2))]
+        solo = rng.normal(size=(solo_rows, 32)) if solo_rows else None
+        global_pred = global_predictions(snapshot, batches, solo)
+        rows = np.vstack([b.inputs for b in batches])
+        explicit = contrastive.batch_center(diffnet.forward_encoder(model, rows))
+        report, grads = combined_loss(model, global_pred, batches, 0.1, solo, explicit)
+        assert_bitwise_equal(
+            combined_loss(model, global_pred, batches, 0.1, solo, contrastive.batch_center),
+            ((report.contrastive_term, report.regularizer_term, report.total), grads),
+        )
+
+    def test_batch_center_needs_a_row(self):
+        with pytest.raises(ContractError):
+            contrastive.batch_center(np.empty((0, 3)))
 
     def test_centre_shifts_targets_only(self):
         # The centred cluster term equals the double-loop oracle with every
@@ -358,7 +401,8 @@ class TestCombinedLoss:
         batch = ClusterBatch(rng.normal(size=(2, 4)), 0)
         solo = rng.normal(size=(3, 4))
 
-        report, _ = combined_loss(model, snapshot, [batch], lam=0.5, solo_inputs=solo)
+        global_pred = global_predictions(snapshot, [batch], solo)
+        report, _ = combined_loss(model, global_pred, [batch], lam=0.5, solo_inputs=solo)
         value, _, _ = cluster_contrastive_loss(model, [batch])
         assert report.contrastive_term == pytest.approx(value, abs=1e-12)
 
@@ -425,10 +469,10 @@ class TestStackedKernel:
             solo = rng.normal(size=(int(rng.integers(1, 4)), d_in)) if trial % 2 else None
             center = None
             if centred:
-                center = (contrastive.batch_center(model, batches) if trial % 3
-                          else rng.normal(size=z_dim))
+                center = contrastive.batch_center if trial % 3 else rng.normal(size=z_dim)
+            global_pred = global_predictions(snapshot, batches, solo) if lam else None
             assert_bitwise_equal(
-                combined_loss(model, snapshot, batches, lam, solo, center),
+                combined_loss(model, global_pred, batches, lam, solo, center),
                 per_batch_combined_loss(model, snapshot, batches, lam, solo, center),
             )
 
@@ -439,10 +483,11 @@ class TestStackedKernel:
         rng = np.random.default_rng(b * g)
         model, snapshot = make_model(seed=1), make_model(seed=2)
         batches = [ClusterBatch(rng.normal(size=(b, 4)), c) for c in range(g)]
-        center = contrastive.batch_center(model, batches)
         assert_bitwise_equal(
-            combined_loss(model, snapshot, batches, 0.1, None, center),
-            per_batch_combined_loss(model, snapshot, batches, 0.1, None, center),
+            combined_loss(model, global_predictions(snapshot, batches), batches, 0.1, None,
+                          contrastive.batch_center),
+            per_batch_combined_loss(model, snapshot, batches, 0.1, None,
+                                    step_center(model, batches)),
         )
 
     def test_zero_gradients_keep_the_oracles_sign(self):
@@ -503,14 +548,19 @@ class TestKernelBenchmarks:
         x = rng.normal(size=(64, 32))
         pairs = np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1)
         batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
-        result = benchmark(combined_loss, model, snapshot, batches, 0.1)
+        # The engine computes the global predictions once per round, outside
+        # the step's loss.
+        global_pred = global_predictions(snapshot, batches)
+        result = benchmark(combined_loss, model, global_pred, batches, 0.1)
         assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))
 
     def test_ccfc_step_10x64(self, benchmark):
         model, snapshot = desk_models()
         rng = np.random.default_rng(640)
         batches = [ClusterBatch(rng.normal(size=(64, 32)), c) for c in range(10)]
-        center = contrastive.batch_center(model, batches)
-        result = benchmark(combined_loss, model, snapshot, batches, 0.1, None, center)
-        expected = per_batch_combined_loss(model, snapshot, batches, 0.1, None, center)
+        global_pred = global_predictions(snapshot, batches)
+        result = benchmark(combined_loss, model, global_pred, batches, 0.1, None,
+                           contrastive.batch_center)
+        expected = per_batch_combined_loss(model, snapshot, batches, 0.1, None,
+                                           step_center(model, batches))
         assert_bitwise_equal(result, expected)

@@ -124,6 +124,36 @@ class TestBackward:
                 denom = max(abs(numeric), abs(gflat[idx]), 1e-3)
                 assert abs(numeric - gflat[idx]) / denom < 1e-4
 
+    @pytest.mark.parametrize("grad_latent", [False, True])
+    def test_matches_full_chain_rule_bitwise(self, grad_latent):
+        # The chain rule written out layer by layer, down to the gradient
+        # w.r.t. the inputs, which backward does not compute: every
+        # parameter gradient is bit for bit the same.
+        rng = np.random.default_rng(17)
+        model = make_model(enc_dims=(32, 256, 32), pred_dims=(32, 64, 32), seed=4)
+        x = rng.normal(size=(130, 32))
+        z, p, taps = diffnet.forward_full(model, x)
+        upstream = rng.normal(size=p.shape)
+        extra = rng.normal(size=z.shape) if grad_latent else None
+
+        def chain(params, inputs, preacts, g):
+            grads = []
+            for i in range(len(params.weights) - 1, -1, -1):
+                ds = g if i == len(params.weights) - 1 else g * (preacts[i] > 0.0)
+                grads[:0] = [inputs[i].T @ ds, ds.sum(axis=0)]
+                g = ds @ params.weights[i].T
+            return grads, g
+
+        pred_grads, gz = chain(model.predictor, taps.pred_inputs, taps.pred_preacts, upstream)
+        if extra is not None:
+            gz = gz + extra
+        enc_grads, gx = chain(model.encoder, taps.enc_inputs, taps.enc_preacts, gz)
+        assert gx.shape == x.shape
+        grads = diffnet.backward(model, taps, upstream, grad_latent=extra)
+        assert [g.tobytes() for g in grads.arrays] == [
+            g.tobytes() for g in enc_grads + pred_grads
+        ]
+
     def test_incongruent_taps_rejected(self):
         model = make_model()
         other = make_model(enc_dims=(5, 8, 3))

@@ -312,6 +312,19 @@ class TestCli:
             == 0
         )
 
+    @pytest.mark.parametrize("existing", ["results.csv", "results.json"])
+    def test_run_refuses_existing_output_before_any_cell(self, tmp_path, monkeypatch, existing):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out_dir = tmp_path / "res"
+        out_dir.mkdir()
+        (out_dir / existing).write_text("kept\n")
+        cells = []
+        monkeypatch.setattr(expcli.federation, "run", lambda *a, **kw: cells.append(a))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert cells == []
+        assert (out_dir / existing).read_text() == "kept\n"
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"run": {"lambda": -1}}))

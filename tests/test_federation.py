@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedclust import datagen, diffnet, federation, metrics
+from fedclust import contrastive, datagen, diffnet, federation, metrics
 from fedclust.contrastive import ClusterBatch, combined_loss
 from fedclust.datagen import FederatedSplit, PartitionSpec
 from fedclust.diffnet import MlpSpec, init_model
@@ -26,6 +26,7 @@ from fedclust.federation import (
     sample_disconnections,
 )
 from fedclust.kmeans import CentroidSet, assign_nearest, lloyd
+from loss_oracles import global_predictions
 
 
 def small_config(**overrides):
@@ -284,6 +285,78 @@ class TestLocalRound:
         for ra, rb in zip(final_a.records, final_b.records):
             assert ra.loss_total == rb.loss_total
             assert ra.nmi == rb.nmi
+
+
+class TestRoundCache:
+    """A regularized round encodes the frozen global model's view of its rows
+    once; every step's `global_pred` must still be the snapshot's forward
+    pass over that step's own stacked rows, bit for bit."""
+
+    @staticmethod
+    def spy_steps(monkeypatch):
+        steps = []  # (global_pred, batches, solo_inputs) of every training step
+        inner = contrastive.combined_loss
+
+        def spy(model, global_pred, batches, lam, solo_inputs=None, center=None):
+            steps.append((global_pred, batches, solo_inputs))
+            return inner(model, global_pred, batches, lam, solo_inputs, center)
+
+        monkeypatch.setattr(contrastive, "combined_loss", spy)
+        return steps
+
+    @staticmethod
+    def assert_step_predictions(steps, snapshot):
+        assert steps
+        for global_pred, batches, solo in steps:
+            assert global_pred.tobytes() == global_predictions(snapshot, batches, solo).tobytes()
+
+    @pytest.mark.parametrize("raw_space", [True, False])
+    def test_ccfc_steps_with_solo_rows(self, raw_space, monkeypatch):
+        ds, split = blob_fixture()
+        config = small_config(k=4, local_epochs=2, batch_max=16)
+        model, clients = make_clients(ds, split, config)
+        client = clients[0]
+        # A far row with a target of its own is the only member of its group.
+        far = np.full((1, ds.dim), 50.0)
+        client.features = np.vstack([client.features, far])
+        space = client.features if raw_space else diffnet.forward_encoder(model, client.features)
+        near, _ = lloyd(space[:-1], config.k - 1, seed=3, restarts=2)
+        targets = CentroidSet(np.vstack([near.centroids, space[-1:]]))
+        steps = self.spy_steps(monkeypatch)
+        local_round(client, model, targets, config, round_index=1, raw_space=raw_space)
+        assert all(solo is not None and len(solo) == 1 for _, _, solo in steps)
+        self.assert_step_predictions(steps, model)
+
+    def test_scfc_steps(self, monkeypatch):
+        ds, split = blob_fixture()
+        config = small_config(algorithm="SCFC", local_epochs=2)
+        model, clients = make_clients(ds, split, config)
+        steps = self.spy_steps(monkeypatch)
+        local_round(clients[1], model, None, config, round_index=1)
+        assert len(steps) == 2 * (clients[1].num_samples // config.batch_max)
+        self.assert_step_predictions(steps, model)
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_one_row_client(self, algorithm, monkeypatch):
+        # SCFC stacks the row and its view into a two-row pass, which the
+        # one-row forward pass of the round's cache does not reproduce.
+        ds, split = blob_fixture()
+        config = small_config(algorithm=algorithm, k=1)
+        model, _ = make_clients(ds, split, config)
+        client = ClientState(0, ds.features[:1], model.copy())
+        steps = self.spy_steps(monkeypatch)
+        targets = CentroidSet(client.features) if algorithm == "CCFC" else None
+        local_round(client, model, targets, config, round_index=1, raw_space=True)
+        self.assert_step_predictions(steps, model)
+
+    def test_lambda_zero_reads_no_global_model(self, monkeypatch):
+        ds, split = blob_fixture()
+        config = small_config(lam=0.0)
+        model, clients = make_clients(ds, split, config)
+        steps = self.spy_steps(monkeypatch)
+        targets, _ = lloyd(clients[0].features, config.k, seed=3, restarts=2)
+        local_round(clients[0], model, targets, config, round_index=1, raw_space=True)
+        assert steps and all(global_pred is None for global_pred, _, _ in steps)
 
 
 class TestMiningSchedule:
@@ -582,3 +655,35 @@ class TestScfc:
 
         simsiam = -0.5 * (cos(p[0], z[1]) + cos(p[1], z[0]))
         assert value == pytest.approx(simsiam, abs=1e-12)
+
+
+def desk_round(algorithm):
+    """One 200-row client at the desk run's settings (10 components in 32
+    dims, encoder 32-256-32, predictor 32-64-32, batch_max 64, 3 local
+    epochs), the broadcast model, and the latent targets of a latent round."""
+    ds = datagen.gaussian_mixture(10, 20, 32, 3.5, seed=7)
+    config = RunConfig(algorithm=algorithm, k=10, local_epochs=3, batch_max=64, lam=0.1,
+                       lr=3e-3, latent_dim=32, encoder_hidden=(256,), predictor_hidden=(64,))
+    model = init_model(MlpSpec((32, 256, 32)), MlpSpec((32, 64, 32)), seed=0)
+    targets, _ = lloyd(diffnet.forward_encoder(model, ds.features), config.k, seed=1)
+    return ds.features, config, model, targets
+
+
+class TestRoundBenchmarks:
+    """Per-phase timings (pytest-benchmark) of one client's local round:
+    grouping, training and mining, each round from the same broadcast model."""
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_local_round_200_rows(self, benchmark, algorithm):
+        features, config, model, targets = desk_round(algorithm)
+        targets = targets if algorithm == "CCFC" else None
+
+        def fresh_client():
+            return (ClientState(0, features, model.copy()), model, targets, config, 5), {}
+
+        trained, mined, reports = benchmark.pedantic(local_round, setup=fresh_client, rounds=30)
+        again = local_round(*fresh_client()[0])
+        assert reports and all(r.regularizer_term < 0 for r in reports)
+        assert mined.centroids.tobytes() == again[1].centroids.tobytes()
+        for a, b in zip(trained.param_arrays(), again[0].param_arrays()):
+            assert a.tobytes() == b.tobytes()

@@ -232,6 +232,22 @@ class TestSequentialOracle:
             assert_same_run(*lloyd(pts, 4, seed, restarts=3), want)
         assert hits["zero_mass"] > 0 and hits["empty_cluster"] > 0
 
+    def test_reseed_residuals_with_and_without_history(self):
+        # A step with an empty cluster computes the residuals of that run
+        # only; `lloyd` keeps no per-step inertia, `lloyd_trace` does. Both
+        # must reseed exactly as the oracle does.
+        pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3 + [[5.0, 5.0]] * 2 + [[0.5, 4.0]])
+        for seed in range(6):
+            hits = Counter()
+            want = oracle_lloyd(pts, 5, seed, restarts=4, hits=hits)
+            assert hits["empty_cluster"] > 0
+            assert_same_run(*lloyd(pts, 5, seed, restarts=4), want)
+            for r in range(4):
+                want = oracle_lloyd_trace(pts, 5, seed + r)
+                cents, assignment, history = lloyd_trace(pts, 5, seed + r)
+                assert_same_run(cents, assignment, want)
+                assert history == want[3]
+
     def test_restart_count_sweep(self):
         pts = np.random.default_rng(11).normal(size=(40, 3))
         for restarts in range(1, 13):
