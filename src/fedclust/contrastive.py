@@ -9,14 +9,15 @@ caller passes its predictions for the step's rows (`global_pred`) instead of
 the model. Gradients w.r.t. network outputs are exact; parameter gradients
 are composed through diffnet.backward.
 
-The cluster term normalises every batch row in one pass, then takes each run
-of consecutive equal-size batches as (batches, size, dim) views: one batched
-matmul gives the cosines, and the leave-one-out row sums and the prediction
-gradient follow for the whole run. The results are bit-identical to a
-batch-by-batch evaluation. The pass works in place in the targets copy and
-the upstream gradient, and allocates at most _COS_CELLS cosines at a time,
-because at a training step's shape fresh (batches, size, dim) temporaries
-cost more to fault in than the arithmetic on them.
+A ClusterBatch may be a stack of equal-size batches (SCFC's augmentation
+pairs reach the loss as one array). The cluster term normalises every batch
+row in one pass, then takes each run of consecutive equal-size batches as
+(batches, size, dim) views: one batched matmul gives the cosines, and the
+leave-one-out row sums and the prediction gradient follow for the whole run,
+bit-identical to a batch-by-batch evaluation. The pass works in place in the
+targets copy and the upstream gradient, and allocates at most _COS_CELLS
+cosines at a time, because at a training step's shape fresh (batches, size,
+dim) temporaries cost more to fault in than the arithmetic on them.
 
 The latent targets may be centred: combined_loss subtracts a centre c from
 every target, so each prediction is pulled toward z_j - c instead of z_j.
@@ -47,26 +48,36 @@ _COS_CELLS = 16384
 
 @dataclass
 class ClusterBatch:
-    """Rows sampled from one assigned cluster; needs >= 2 members so that
-    leave-one-out similarity is defined. Finiteness is checked once per step,
-    when combined_loss's forward pass takes all rows together."""
+    """Rows sampled from one assigned cluster, (b, dim), or a stack of g
+    equal-size batches, (g, b, dim), which the loss counts as g batches
+    sharing one id. Every batch needs >= 2 members so that leave-one-out
+    similarity is defined. Finiteness is checked once per step, when
+    combined_loss's forward pass takes all rows together."""
 
     inputs: np.ndarray
     cluster_id: int
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2:
-            raise ShapeError(f"cluster batch must be 2-D, got shape {self.inputs.shape}")
-        if self.inputs.shape[0] < 2:
+        if self.inputs.ndim not in (2, 3):
+            raise ShapeError(f"cluster batch must be 2-D or 3-D, got shape {self.inputs.shape}")
+        if self.inputs.shape[-2] < 2:
             raise ContractError(
-                f"cluster {self.cluster_id} batch has {self.inputs.shape[0]} member(s); "
+                f"cluster {self.cluster_id} batch has {self.inputs.shape[-2]} member(s); "
                 "need at least 2"
             )
 
     @property
+    def rows(self) -> np.ndarray:  # (g * b, dim), a stack's batches in order
+        return self.inputs.reshape(-1, self.inputs.shape[-1])
+
+    @property
+    def sizes(self) -> list[int]:  # each batch's row count: [b] * g
+        return [self.inputs.shape[-2]] * (len(self.inputs) if self.inputs.ndim == 3 else 1)
+
+    @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        return len(self.rows)
 
 
 @dataclass
@@ -163,12 +174,13 @@ def combined_loss(
     """Cluster-contrastive term plus lam-weighted agreement regularizer, with
     exact parameter gradients for the local model.
 
-    Each batch of b rows adds 1 / (len(batches) * b) times its leave-one-out
-    loss sum to the cluster term, in batch order. `solo_inputs` rows (members
-    of singleton clusters) join only the regularizer mean. `global_pred` holds
-    the frozen global model's predictions for the step's rows, stacked as the
-    forward pass stacks them (batch rows in batch order, then solo rows); with
-    lam == 0 the regularizer is skipped and `global_pred` may be None.
+    Each of the step's g batches of b rows (a stack counts as its batches)
+    adds 1 / (g * b) times its leave-one-out loss sum to the cluster term, in
+    batch order. `solo_inputs` rows (members of singleton clusters) join only
+    the regularizer mean. `global_pred` holds the frozen global model's
+    predictions for the step's rows, stacked as the forward pass stacks them
+    (batch rows in batch order, then solo rows); with lam == 0 the regularizer
+    is skipped and `global_pred` may be None.
 
     `center` is subtracted from every latent target of the cluster term: a
     latent-space vector, or a function (such as `batch_center`) that maps the
@@ -181,17 +193,17 @@ def combined_loss(
     if lam > 0 and global_pred is None:
         raise ConfigError("lambda > 0 requires the global model's predictions")
 
-    parts = [b.inputs for b in batches]
+    parts = [b.rows for b in batches]
     if solo_inputs is not None and len(solo_inputs):
         parts.append(as_matrix(solo_inputs, "solo inputs"))
     if not parts:
         raise ContractError("no inputs: need cluster batches or solo rows")
-    x_all = np.vstack(parts)
+    x_all = parts[0] if len(parts) == 1 else np.vstack(parts)
 
     z, p, taps = diffnet.forward_full(model, x_all)
     if global_pred is not None and np.shape(global_pred) != p.shape:
         raise ShapeError(f"global predictions shape {np.shape(global_pred)} != {p.shape}")
-    sizes = [b.size for b in batches]
+    sizes = [size for b in batches for size in b.sizes]
     m = sum(sizes)
     if center is None:
         targets = z[:m].copy()

@@ -6,6 +6,13 @@ graph is fixed: an encoder MLP maps inputs to latent vectors, a predictor MLP
 maps the latent space to itself. Hidden layers use ReLU, output layers are
 linear. Loss layers provide gradients with respect to the network outputs;
 `backward` turns those into parameter gradients.
+
+A model keeps all of its parameters in one vector, `theta`: the encoder's
+layers, then the predictor's, each as its weight matrix and then its bias
+row. The layers' arrays are views into it. A GradientSet is one vector in the
+same layout, which `backward` fills layer by layer, and Adam's two moments
+are two more. An Adam update is therefore one fused pass over the vectors, a
+copy is one vector copy, and FedAvg is a weighted sum of vectors.
 """
 
 from __future__ import annotations
@@ -62,74 +69,79 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def spec(self) -> MlpSpec:
-        dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-        return MlpSpec(tuple(dims))
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class SiameseModel:
-    """Encoder + predictor parameters plus Adam moment state (zero when built).
+    """Encoder + predictor parameters in one vector `theta` (zero when not
+    given), which `encoder` and `predictor` view, plus Adam moment vectors of
+    the same length (zero when built). The predictor maps the latent space to
+    itself: encoder output dim equals predictor input and output dims."""
 
-    The predictor maps the latent space to itself: encoder output dim equals
-    predictor input and output dims.
-    """
-
-    encoder: MlpParams
-    predictor: MlpParams
-    adam_m: list[np.ndarray] = field(init=False)
-    adam_v: list[np.ndarray] = field(init=False)
+    encoder_spec: MlpSpec
+    predictor_spec: MlpSpec
+    theta: np.ndarray | None = None
+    encoder: MlpParams = field(init=False)
+    predictor: MlpParams = field(init=False)
+    adam_m: np.ndarray = field(init=False)
+    adam_v: np.ndarray = field(init=False)
     adam_t: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.adam_m = [np.zeros_like(a) for a in self.param_arrays()]
-        self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
+        enc, pred = self.encoder_spec, self.predictor_spec
+        if not enc.out_dim == pred.in_dim == pred.out_dim:
+            raise ShapeError(f"predictor must map the encoder's {enc.out_dim}-dim latents "
+                             f"to themselves, got {pred.in_dim} -> {pred.out_dim}")
+        self._shapes = [shape for spec in (enc, pred)
+                        for fan_in, fan_out in zip(spec.layer_dims, spec.layer_dims[1:])
+                        for shape in ((fan_in, fan_out), (fan_out,))]
+        size = sum(math.prod(shape) for shape in self._shapes)
+        if self.theta is None:
+            self.theta = np.zeros(size)
+        arrays = self.unflatten(self.theta)
+        n = 2 * (len(enc.layer_dims) - 1)
+        self.encoder = MlpParams(arrays[0:n:2], arrays[1:n:2])
+        self.predictor = MlpParams(arrays[n::2], arrays[n + 1::2])
+        self.adam_m, self.adam_v = np.zeros(size), np.zeros(size)
+
+    def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a theta-shaped vector, one per parameter array, in order."""
+        out, offset = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            out.append(vector[offset:offset + size].reshape(shape))
+            offset += size
+        return out
 
     def param_arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed traversal order (encoder then predictor)."""
-        out = []
-        for block in (self.encoder, self.predictor):
-            for w, b in zip(block.weights, block.biases):
-                out.append(w)
-                out.append(b)
-        return out
+        """Views into theta: encoder then predictor, each layer's weights then bias."""
+        return self.unflatten(self.theta)
 
     def param_names(self) -> list[str]:
-        out = []
-        for tag, block in (("encoder", self.encoder), ("predictor", self.predictor)):
-            for i in range(len(block.weights)):
-                out.append(f"{tag}.W{i}")
-                out.append(f"{tag}.b{i}")
-        return out
+        return [f"{tag}.{kind}{i}"
+                for tag, block in (("encoder", self.encoder), ("predictor", self.predictor))
+                for i in range(len(block.weights)) for kind in "Wb"]
 
     @property
     def latent_dim(self) -> int:
-        return self.encoder.weights[-1].shape[1]
+        return self.encoder_spec.out_dim
 
     def copy(self) -> "SiameseModel":
-        """Deep copy of the parameters, with fresh (zero) Adam state."""
-        return SiameseModel(self.encoder.copy(), self.predictor.copy())
+        """Copy of the parameter vector, with fresh (zero) Adam state."""
+        return SiameseModel(self.encoder_spec, self.predictor_spec, self.theta.copy())
 
 
 @dataclass
 class GradientSet:
-    """Parameter gradients, shape-congruent with a model's param_arrays()."""
+    """Parameter gradients in one vector laid out as a model's theta, and
+    views of it shape-congruent with the model's param_arrays()."""
 
+    flat: np.ndarray
     arrays: list[np.ndarray]
 
     @classmethod
     def zeros_like(cls, model: SiameseModel) -> "GradientSet":
-        return cls([np.zeros_like(a) for a in model.param_arrays()])
-
-    def congruent_with(self, model: SiameseModel) -> bool:
-        params = model.param_arrays()
-        return len(self.arrays) == len(params) and all(
-            g.shape == p.shape for g, p in zip(self.arrays, params)
-        )
+        flat = np.zeros_like(model.theta)
+        return cls(flat, model.unflatten(flat))
 
 
 @dataclass
@@ -147,26 +159,12 @@ class ForwardTaps:
 def init_model(spec_encoder: MlpSpec, spec_predictor: MlpSpec, seed: int) -> SiameseModel:
     """Build a model with scaled-uniform weights (bound sqrt(6/(fan_in+fan_out)))
     and zero biases; deterministic per seed."""
-    if spec_encoder.out_dim != spec_predictor.in_dim:
-        raise ShapeError(
-            f"encoder output dim {spec_encoder.out_dim} != predictor input dim "
-            f"{spec_predictor.in_dim}"
-        )
-    if spec_predictor.in_dim != spec_predictor.out_dim:
-        raise ShapeError(
-            f"predictor must map the latent space to itself, got "
-            f"{spec_predictor.in_dim} -> {spec_predictor.out_dim}"
-        )
+    model = SiameseModel(spec_encoder, spec_predictor)
     rng = np.random.default_rng(seed)
-    blocks = []
-    for spec in (spec_encoder, spec_predictor):
-        weights, biases = [], []
-        for fan_in, fan_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        blocks.append(MlpParams(weights, biases))
-    return SiameseModel(blocks[0], blocks[1])
+    for w in model.encoder.weights + model.predictor.weights:
+        bound = math.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _mlp_forward(params: MlpParams, x: np.ndarray):
@@ -182,19 +180,19 @@ def _mlp_forward(params: MlpParams, x: np.ndarray):
 
 
 def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
+                  grads_w: list[np.ndarray], grads_b: list[np.ndarray],
                   input_grad: bool = True):
-    """Weight and bias gradients, plus the gradient w.r.t. the MLP's input
-    when `input_grad` is set (None otherwise)."""
+    """Write the weight and bias gradients into `grads_w` and `grads_b`;
+    return the gradient w.r.t. the MLP's input when `input_grad` is set
+    (None otherwise)."""
     last = len(params.weights) - 1
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.weights)
     g = grad_out
     for i in range(last, -1, -1):
         ds = g if i == last else g * (preacts[i] > 0.0)
-        grads_w[i] = inputs[i].T @ ds
-        grads_b[i] = ds.sum(axis=0)
+        np.matmul(inputs[i].T, ds, out=grads_w[i])
+        ds.sum(axis=0, out=grads_b[i])
         g = ds @ params.weights[i].T if i or input_grad else None
-    return grads_w, grads_b, g
+    return g
 
 
 def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
@@ -228,68 +226,60 @@ def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, Fo
     return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre, z, p)
 
 
-def backward(
-    model: SiameseModel,
-    taps: ForwardTaps,
-    grad_pred: np.ndarray,
-    grad_latent: np.ndarray | None = None,
-) -> GradientSet:
-    """Exact parameter gradients of a scalar loss.
-
-    grad_pred is the loss gradient w.r.t. the predictor outputs p; grad_latent,
-    if given, is an extra gradient injected directly at the encoder outputs z
-    (paths treated as constants by a loss simply contribute nothing here).
-    """
+def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> GradientSet:
+    """Exact parameter gradients of a scalar loss whose gradient w.r.t. the
+    predictor outputs p is grad_pred (paths treated as constants by a loss
+    simply contribute nothing here), written into a fresh GradientSet."""
     if len(taps.enc_inputs) != len(model.encoder.weights) or len(taps.pred_inputs) != len(
         model.predictor.weights
     ):
         raise StateError("taps do not match the model's layer structure")
-    for cached, w in zip(taps.enc_inputs, model.encoder.weights):
-        if cached.shape[1] != w.shape[0]:
-            raise StateError("taps are incongruent with the model (stale forward cache?)")
-    for cached, w in zip(taps.pred_inputs, model.predictor.weights):
+    weights = model.encoder.weights + model.predictor.weights
+    for cached, w in zip(taps.enc_inputs + taps.pred_inputs, weights):
         if cached.shape[1] != w.shape[0]:
             raise StateError("taps are incongruent with the model (stale forward cache?)")
     if grad_pred.shape != taps.p.shape:
         raise ShapeError(f"grad_pred shape {grad_pred.shape} != outputs shape {taps.p.shape}")
 
-    pred_w, pred_b, gz = _mlp_backward(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred)
-    if grad_latent is not None:
-        if grad_latent.shape != taps.z.shape:
-            raise ShapeError(
-                f"grad_latent shape {grad_latent.shape} != latent shape {taps.z.shape}"
-            )
-        gz = gz + grad_latent
-    enc_w, enc_b, _ = _mlp_backward(
-        model.encoder, taps.enc_inputs, taps.enc_preacts, gz, input_grad=False
-    )
-
-    arrays = []
-    for gw, gb in zip(enc_w, enc_b):
-        arrays.append(gw)
-        arrays.append(gb)
-    for gw, gb in zip(pred_w, pred_b):
-        arrays.append(gw)
-        arrays.append(gb)
-    return GradientSet(arrays)
+    flat = np.empty_like(model.theta)  # every entry is written below
+    grads = GradientSet(flat, model.unflatten(flat))
+    n = 2 * len(model.encoder.weights)
+    gz = _mlp_backward(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred,
+                       grads.arrays[n::2], grads.arrays[n + 1::2])
+    _mlp_backward(model.encoder, taps.enc_inputs, taps.enc_preacts, gz,
+                  grads.arrays[0:n:2], grads.arrays[1:n:2], input_grad=False)
+    return grads
 
 
 def adam_step(model: SiameseModel, grads: GradientSet, lr: float) -> SiameseModel:
-    """One bias-corrected Adam update, in place; returns the same model."""
-    params = model.param_arrays()
-    if not grads.congruent_with(model):
+    """One bias-corrected Adam update of the whole parameter vector, in place;
+    returns the same model."""
+    if [g.shape for g in grads.arrays] != model._shapes:
         raise ShapeError("gradient set is not shape-congruent with the model")
-    for name, g in zip(model.param_names(), grads.arrays):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient entry in {name}")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(name for name, a in zip(model.param_names(), grads.arrays)
+                    if not np.isfinite(a).all())
+        raise NumericError(f"non-finite gradient entry in {name}")
     model.adam_t += 1
-    t = model.adam_t
-    bias1 = 1.0 - ADAM_BETA1**t
-    bias2 = 1.0 - ADAM_BETA2**t
-    for theta, g, m, v in zip(params, grads.arrays, model.adam_m, model.adam_v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    bias1 = 1.0 - ADAM_BETA1**model.adam_t
+    bias2 = 1.0 - ADAM_BETA2**model.adam_t
+    m, v = model.adam_m, model.adam_v
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps), each element through
+    # the same operations in the same order, in two scratch vectors.
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.square(g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += scratch
+    np.divide(v, bias2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step = np.divide(m, bias1)
+    step *= lr
+    step /= scratch
+    model.theta -= step
     return model

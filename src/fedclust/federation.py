@@ -182,19 +182,16 @@ def disseminate(server: ServerState, clients: list[ClientState]) -> None:
 
 
 def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
-    """Per-parameter weighted average, weights proportional to client sample
-    counts (renormalized over the connected clients present)."""
+    """Weighted sum of the parameter vectors in client order, weights
+    proportional to sample counts (renormalized over the clients present)."""
     if not updates:
         raise ProtocolError("cannot aggregate zero client updates")
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.num_samples for u in ordered)
     merged = ordered[0].model.copy()
-    for arr in merged.param_arrays():
-        arr *= ordered[0].num_samples / total
+    merged.theta *= ordered[0].num_samples / total
     for update in ordered[1:]:
-        w = update.num_samples / total
-        for tgt, src in zip(merged.param_arrays(), update.model.param_arrays()):
-            tgt += w * src
+        merged.theta += (update.num_samples / total) * update.model.theta
     return merged
 
 
@@ -336,7 +333,6 @@ def local_round(
                     features[sel], config.augment_strength, seed=int(rng.integers(2**32))
                 )
                 pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
-                batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
                 global_pred = None
                 if lam_eff > 0 and take > 1:
                     view_pred = _predict(global_snapshot, views)
@@ -344,7 +340,7 @@ def local_round(
                 elif lam_eff > 0:
                     global_pred = _predict(global_snapshot, pairs.reshape(2, -1))
                 report, grads = contrastive.combined_loss(
-                    client.model, global_pred, batches, lam_eff, None
+                    client.model, global_pred, [ClusterBatch(pairs, 0)], lam_eff, None
                 )
                 diffnet.adam_step(client.model, grads, config.lr)
                 reports.append(report)

@@ -7,12 +7,18 @@ as an argument. `per_batch_combined_loss` is the same objective written batch
 by batch, running the global model's forward pass over the step's rows
 itself, and the two must agree bit for bit. `global_predictions` and
 `step_center` build combined_loss's inputs from separate passes over a
-step's rows.
+step's rows. Every helper that takes a step's batches first splits a stacked
+(g, b, dim) ClusterBatch into its g 2-D batches (`split_batches`).
+
+`chain_rule_gradients` is diffnet.backward's chain rule written out layer by
+layer, down to the gradient w.r.t. the inputs, and it can inject a gradient
+at the latents, which backward cannot.
 """
 
 import numpy as np
 
 from fedclust import diffnet
+from fedclust.contrastive import ClusterBatch
 from fedclust.diffnet import as_matrix
 from fedclust.errors import ContractError, NumericError, ShapeError
 
@@ -53,6 +59,7 @@ def cluster_contrastive_loss(model, batches):
     latents. The latent gradients are exactly zero (stop-gradient targets)."""
     if not batches:
         raise ContractError("need at least one cluster batch")
+    batches = split_batches(batches)
     k_eff = len(batches)
     value = 0.0
     grads_p, grads_z = [], []
@@ -80,8 +87,8 @@ def regularizer_terms(p_local, p_global):
 
 def check_same_specs(local, global_snapshot):
     if (
-        local.encoder.spec != global_snapshot.encoder.spec
-        or local.predictor.spec != global_snapshot.predictor.spec
+        local.encoder_spec != global_snapshot.encoder_spec
+        or local.predictor_spec != global_snapshot.predictor_spec
     ):
         raise ShapeError("local and global models have different layer specs")
 
@@ -98,10 +105,42 @@ def model_contrastive_regularizer(local, global_snapshot, batch):
     return regularizer_terms(p_local, p_global)
 
 
+def split_batches(batches):
+    """The step's batches with every (g, b, dim) stack replaced by its g
+    2-D batches, in order."""
+    out = []
+    for batch in batches:
+        if batch.inputs.ndim == 3:
+            out += [ClusterBatch(x, batch.cluster_id) for x in batch.inputs]
+        else:
+            out.append(batch)
+    return out
+
+
+def chain_rule_gradients(model, taps, grad_pred, grad_latent=None):
+    """Parameter gradients (in param_arrays() order) and the gradient w.r.t.
+    the inputs, from the predictor-output gradient plus, if given, a gradient
+    injected at the latents."""
+
+    def chain(params, inputs, preacts, g):
+        grads = []
+        for i in range(len(params.weights) - 1, -1, -1):
+            ds = g if i == len(params.weights) - 1 else g * (preacts[i] > 0.0)
+            grads[:0] = [inputs[i].T @ ds, ds.sum(axis=0)]
+            g = ds @ params.weights[i].T
+        return grads, g
+
+    pred_grads, gz = chain(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred)
+    if grad_latent is not None:
+        gz = gz + grad_latent
+    enc_grads, gx = chain(model.encoder, taps.enc_inputs, taps.enc_preacts, gz)
+    return enc_grads + pred_grads, gx
+
+
 def step_rows(batches, solo_inputs=None):
     """A step's rows stacked as combined_loss stacks them: batch rows in batch
     order, then the solo rows."""
-    parts = [b.inputs for b in batches]
+    parts = [b.inputs for b in split_batches(batches)]
     if solo_inputs is not None and len(solo_inputs):
         parts.append(as_matrix(solo_inputs, "solo inputs"))
     return np.vstack(parts)
@@ -117,14 +156,14 @@ def global_predictions(global_snapshot, batches, solo_inputs=None):
 def step_center(model, batches):
     """Mean latent of a step's batch rows, from a separate encoder pass over
     them: the constant that combined_loss's `batch_center` centre must equal."""
-    rows = np.vstack([b.inputs for b in batches])
-    return diffnet.forward_encoder(model, rows).mean(axis=0)
+    return diffnet.forward_encoder(model, step_rows(batches)).mean(axis=0)
 
 
 def per_batch_combined_loss(model, global_snapshot, batches, lam, solo_inputs=None, center=None):
     """combined_loss evaluated one cluster batch at a time: (contrastive,
     regularizer, total) and the parameter gradients. A function `center`
     gets the batch rows' latents of the step's forward pass."""
+    batches = split_batches(batches)
     x_all = step_rows(batches, solo_inputs)
     z, p, taps = diffnet.forward_full(model, x_all)
     if callable(center):

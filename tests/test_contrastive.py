@@ -11,6 +11,7 @@ from fedclust.contrastive import ClusterBatch, combined_loss
 from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import ConfigError, ContractError, NumericError, ShapeError
 from loss_oracles import (
+    chain_rule_gradients,
     cluster_contrastive_loss,
     global_predictions,
     model_contrastive_regularizer,
@@ -166,8 +167,10 @@ class TestClusterContrastiveLoss:
             ClusterBatch(np.ones((1, 4)), 0)
 
     def test_batch_not_2d_rejected(self):
-        with pytest.raises(ShapeError):
-            ClusterBatch(np.ones((2, 2, 4)), 0)
+        # A batch is 2-D or a 3-D stack of equal-size batches; nothing else.
+        for shape in ((4,), (1, 2, 2, 4)):
+            with pytest.raises(ShapeError):
+                ClusterBatch(np.ones(shape), 0)
 
     def test_nonfinite_row_raises_in_combined_loss(self):
         # A batch is not scanned when built; the step's one forward pass over
@@ -389,10 +392,8 @@ class TestCombinedLoss:
                     continue
                 gz[j] += -(pu[i] - cos[i, j] * zu[j]) / np.linalg.norm(z[j])
         gz /= 1.0 * b * (b - 1)
-        full = diffnet.backward(model, taps, gp[0], grad_latent=gz)
-        assert any(
-            not np.allclose(a, c, atol=1e-12) for a, c in zip(grads.arrays, full.arrays)
-        )
+        full, _ = chain_rule_gradients(model, taps, gp[0], grad_latent=gz)
+        assert any(not np.allclose(a, c, atol=1e-12) for a, c in zip(grads.arrays, full))
 
     def test_solo_rows_join_regularizer_only(self):
         model = make_model(seed=9)
@@ -531,6 +532,47 @@ class TestStackedKernel:
             combined_loss(model, None, batches, lam=0.0, center=z[6])
 
 
+class TestStackedBatch:
+    """A (g, b, dim) ClusterBatch is g batches of b rows to the loss."""
+
+    @pytest.mark.parametrize("solo", [False, True])
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_matches_its_2d_batches_bitwise(self, solo, centred, lam):
+        rng = np.random.default_rng(7 + 2 * solo + 4 * centred + int(10 * lam))
+        model, snapshot = desk_models()
+        for g, b in ((64, 2), (5, 3), (1, 4)):
+            stack = rng.normal(size=(g, b, 32))
+            tail = [ClusterBatch(rng.normal(size=(6, 32)), 9)] if g == 5 else []
+            solo_rows = rng.normal(size=(2, 32)) if solo else None
+            center = contrastive.batch_center if centred else None
+            stacked = [ClusterBatch(stack, 0)] + tail
+            split = [ClusterBatch(x, i) for i, x in enumerate(stack)] + tail
+            global_pred = global_predictions(snapshot, split, solo_rows) if lam else None
+            assert global_pred is None or global_pred.tobytes() == global_predictions(
+                snapshot, stacked, solo_rows).tobytes()
+            expected = combined_loss(model, global_pred, split, lam, solo_rows, center)
+            report, grads = combined_loss(model, global_pred, stacked, lam, solo_rows, center)
+            terms = (expected[0].contrastive_term, expected[0].regularizer_term,
+                     expected[0].total)
+            assert_bitwise_equal((report, grads), (terms, expected[1]))
+            assert_bitwise_equal(
+                (report, grads),
+                per_batch_combined_loss(model, snapshot, stacked, lam, solo_rows, center),
+            )
+
+    def test_shape_contract(self):
+        batch = ClusterBatch(np.ones((5, 3, 4)), 0)
+        assert batch.size == 15
+        assert batch.sizes == [3] * 5
+        assert batch.rows.shape == (15, 4) and np.shares_memory(batch.rows, batch.inputs)
+        assert ClusterBatch(np.ones((3, 4)), 0).sizes == [3]
+        with pytest.raises(ShapeError):
+            ClusterBatch(np.ones((2, 2, 2, 4)), 0)
+        with pytest.raises(ContractError):
+            ClusterBatch(np.ones((5, 1, 4)), 0)
+
+
 def desk_models():
     # The desk run's widths: 32 inputs, a 256-wide encoder, 32 latents and a
     # 64-wide predictor.
@@ -550,6 +592,16 @@ class TestKernelBenchmarks:
         batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
         # The engine computes the global predictions once per round, outside
         # the step's loss.
+        global_pred = global_predictions(snapshot, batches)
+        result = benchmark(combined_loss, model, global_pred, batches, 0.1)
+        assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))
+
+    def test_scfc_step_stacked_64_pairs(self, benchmark):
+        # The same step as the engine passes it: one (64, 2, dim) stack.
+        model, snapshot = desk_models()
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(64, 32))
+        batches = [ClusterBatch(np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1), 0)]
         global_pred = global_predictions(snapshot, batches)
         result = benchmark(combined_loss, model, global_pred, batches, 0.1)
         assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))

@@ -6,6 +6,7 @@ import pytest
 from fedclust import diffnet
 from fedclust.diffnet import GradientSet, MlpSpec, init_model
 from fedclust.errors import NumericError, ShapeError, StateError
+from loss_oracles import chain_rule_gradients
 
 
 def naive_forward(weights, biases, x, relu_on_last=False):
@@ -29,6 +30,39 @@ def naive_forward(weights, biases, x, relu_on_last=False):
 
 def make_model(enc_dims=(4, 8, 3), pred_dims=(3, 5, 3), seed=0):
     return init_model(MlpSpec(enc_dims), MlpSpec(pred_dims), seed)
+
+
+def desk_model(seed=0):
+    # The desk run's widths: 32 inputs, a 256-wide encoder, 32 latents and a
+    # 64-wide predictor.
+    return make_model(enc_dims=(32, 256, 32), pred_dims=(32, 64, 32), seed=seed)
+
+
+def reference_adam(params, grad_steps, lr):
+    """Adam written array by array, from zero moments: one update of every
+    array per entry of grad_steps (a list of per-array gradients)."""
+    b1, b2, eps = diffnet.ADAM_BETA1, diffnet.ADAM_BETA2, diffnet.ADAM_EPS
+    params = [a.copy() for a in params]
+    ms = [np.zeros_like(a) for a in params]
+    vs = [np.zeros_like(a) for a in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        for theta, g, m, v in zip(params, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return params
+
+
+def random_gradients(model, rng):
+    """A GradientSet of normal entries at a different scale per array, with
+    some exact zeros."""
+    grads = GradientSet.zeros_like(model)
+    for g in grads.arrays:
+        g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
+        g[rng.random(g.shape) < 0.1] = 0.0
+    return grads
 
 
 class TestForward:
@@ -124,8 +158,7 @@ class TestBackward:
                 denom = max(abs(numeric), abs(gflat[idx]), 1e-3)
                 assert abs(numeric - gflat[idx]) / denom < 1e-4
 
-    @pytest.mark.parametrize("grad_latent", [False, True])
-    def test_matches_full_chain_rule_bitwise(self, grad_latent):
+    def test_matches_full_chain_rule_bitwise(self):
         # The chain rule written out layer by layer, down to the gradient
         # w.r.t. the inputs, which backward does not compute: every
         # parameter gradient is bit for bit the same.
@@ -134,25 +167,10 @@ class TestBackward:
         x = rng.normal(size=(130, 32))
         z, p, taps = diffnet.forward_full(model, x)
         upstream = rng.normal(size=p.shape)
-        extra = rng.normal(size=z.shape) if grad_latent else None
-
-        def chain(params, inputs, preacts, g):
-            grads = []
-            for i in range(len(params.weights) - 1, -1, -1):
-                ds = g if i == len(params.weights) - 1 else g * (preacts[i] > 0.0)
-                grads[:0] = [inputs[i].T @ ds, ds.sum(axis=0)]
-                g = ds @ params.weights[i].T
-            return grads, g
-
-        pred_grads, gz = chain(model.predictor, taps.pred_inputs, taps.pred_preacts, upstream)
-        if extra is not None:
-            gz = gz + extra
-        enc_grads, gx = chain(model.encoder, taps.enc_inputs, taps.enc_preacts, gz)
+        expected, gx = chain_rule_gradients(model, taps, upstream)
         assert gx.shape == x.shape
-        grads = diffnet.backward(model, taps, upstream, grad_latent=extra)
-        assert [g.tobytes() for g in grads.arrays] == [
-            g.tobytes() for g in enc_grads + pred_grads
-        ]
+        grads = diffnet.backward(model, taps, upstream)
+        assert [g.tobytes() for g in grads.arrays] == [g.tobytes() for g in expected]
 
     def test_incongruent_taps_rejected(self):
         model = make_model()
@@ -201,6 +219,24 @@ class TestAdam:
         with pytest.raises(NumericError, match="encoder.W1"):
             diffnet.adam_step(model, grads, lr=0.1)
 
+    @pytest.mark.parametrize("dims", [
+        ((32, 256, 32), (32, 64, 32)),  # the desk widths
+        ((3, 1, 3), (3, 3)),
+        ((1, 3, 1), (1, 1, 1)),
+    ])
+    def test_matches_per_array_recurrence_bitwise(self, dims):
+        rng = np.random.default_rng(sum(map(sum, dims)))
+        model = make_model(*dims, seed=6)
+        start = [a.copy() for a in model.param_arrays()]
+        steps = []
+        for _ in range(6):
+            grads = random_gradients(model, rng)
+            steps.append([g.copy() for g in grads.arrays])
+            diffnet.adam_step(model, grads, lr=3e-3)
+            expected = reference_adam(start, steps, lr=3e-3)
+            assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]
+        assert model.adam_t == 6
+
     def test_training_stays_finite(self):
         # 100 steps on a fixed random objective with lr <= 0.01.
         rng = np.random.default_rng(0)
@@ -212,6 +248,51 @@ class TestAdam:
             grads = diffnet.backward(model, taps, direction)
             diffnet.adam_step(model, grads, lr=0.01)
         assert all(np.isfinite(a).all() for a in model.param_arrays())
+
+
+class TestFlatLayout:
+    def test_arrays_are_views_of_theta_in_order(self):
+        model = make_model(enc_dims=(4, 8, 3), pred_dims=(3, 5, 3), seed=2)
+        arrays = model.param_arrays()
+        assert np.concatenate([a.ravel() for a in arrays]).tobytes() == model.theta.tobytes()
+        assert model.theta.shape == (4 * 8 + 8 + 8 * 3 + 3 + 3 * 5 + 5 + 5 * 3 + 3,)
+        assert model.adam_m.shape == model.adam_v.shape == model.theta.shape
+        for a in arrays + model.encoder.weights + model.predictor.biases:
+            assert np.shares_memory(a, model.theta)
+
+    def test_writes_through_param_arrays_land_in_theta(self):
+        model = make_model()
+        for i, a in enumerate(model.param_arrays()):
+            a[...] = i
+        model.encoder.weights[1][0, 0] = -1.0
+        expected = np.concatenate([np.full(a.size, float(i))
+                                   for i, a in enumerate(model.param_arrays())])
+        expected[4 * 8 + 8] = -1.0
+        assert model.theta.tobytes() == expected.tobytes()
+
+    def test_copy_owns_its_vectors(self):
+        model = make_model()
+        diffnet.adam_step(model, random_gradients(model, np.random.default_rng(1)), lr=0.1)
+        twin = model.copy()
+        assert twin.theta.tobytes() == model.theta.tobytes()
+        assert twin.adam_t == 0 and not twin.adam_m.any() and not twin.adam_v.any()
+        for mine in (model.theta, model.adam_m, model.adam_v):
+            for theirs in (twin.theta, twin.adam_m, twin.adam_v):
+                assert not np.shares_memory(mine, theirs)
+        twin.param_arrays()[0][...] = 7.0
+        assert not (model.theta == 7.0).any()
+
+    def test_successive_gradient_sets_share_no_memory(self):
+        model = make_model()
+        x = np.random.default_rng(2).normal(size=(5, 4))
+        _, p, taps = diffnet.forward_full(model, x)
+        first = diffnet.backward(model, taps, np.ones_like(p))
+        kept = first.flat.copy()
+        second = diffnet.backward(model, taps, 2.0 * np.ones_like(p))
+        assert not np.shares_memory(first.flat, second.flat)
+        assert first.flat.tobytes() == kept.tobytes()
+        for g, flat in ((first, first.flat), (second, second.flat)):
+            assert all(np.shares_memory(a, flat) for a in g.arrays)
 
 
 class TestInit:
@@ -261,3 +342,18 @@ class TestDeterminism:
         a, b = train(), train()
         for x, y in zip(a.param_arrays(), b.param_arrays()):
             np.testing.assert_array_equal(x, y)
+
+
+class TestKernelBenchmarks:
+    """Per-kernel timing (pytest-benchmark) of one Adam update at the desk
+    widths, checked bitwise against the per-array reference recurrence."""
+
+    def test_adam_step_desk(self, benchmark):
+        model = desk_model()
+        grads = random_gradients(model, np.random.default_rng(3))
+        start = [a.copy() for a in model.param_arrays()]
+        benchmark.pedantic(diffnet.adam_step, args=(model, grads, 3e-3), rounds=300)
+        steps = [grads.arrays] * model.adam_t
+        expected = reference_adam(start, steps, lr=3e-3)
+        assert model.adam_t == 300
+        assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]

@@ -94,6 +94,22 @@ class TestDisseminate:
             assert client.model is not model
         assert clients[1].model is stale
 
+    def test_no_vector_is_shared(self):
+        # A flat buffer shared by mistake would let one client's training move
+        # another's parameters or Adam state without any error.
+        ds, split = blob_fixture(m=4)
+        config = small_config()
+        model, clients = make_clients(ds, split, config)
+        clients[2].connected = False
+        server = ServerState(model)
+        disseminate(server, clients)
+        owners = [server.global_model] + [c.model for c in clients if c.connected]
+        for i, a in enumerate(owners):
+            for b in owners[i + 1:]:
+                for mine in (a.theta, a.adam_m, a.adam_v):
+                    for theirs in (b.theta, b.adam_m, b.adam_v):
+                        assert not np.shares_memory(mine, theirs)
+
     def test_snapshot_survives_local_mutation(self):
         ds, split = blob_fixture()
         config = small_config()
@@ -141,13 +157,24 @@ class TestAggregateModels:
             sizes = [int(rng.integers(1, 50)) for _ in range(m)]
             cents = CentroidSet(np.zeros((2, 5)))
             updates = [ClientUpdate(i, s, mo, cents) for i, (s, mo) in enumerate(zip(sizes, models))]
-            merged = aggregate_models(updates)
+            merged = aggregate_models(updates[::-1])
             total = sum(sizes)
             for idx, arr in enumerate(merged.param_arrays()):
                 expected = sum(
                     (s / total) * mo.param_arrays()[idx] for s, mo in zip(sizes, models)
                 )
                 np.testing.assert_allclose(arr, expected, atol=1e-12)
+            # Bit for bit the per-array sum in client order that the one
+            # vector sum replaced.
+            reference = [a.copy() for a in models[0].param_arrays()]
+            for arr in reference:
+                arr *= sizes[0] / total
+            for s, mo in zip(sizes[1:], models[1:]):
+                for tgt, src in zip(reference, mo.param_arrays()):
+                    tgt += (s / total) * src
+            assert [a.tobytes() for a in merged.param_arrays()] == [
+                r.tobytes() for r in reference
+            ]
 
     def test_zero_clients_rejected(self):
         with pytest.raises(ProtocolError):
@@ -276,6 +303,21 @@ class TestLocalRound:
         trained, _, _ = local_round(client, model, cents0, config, round_index=1)
         z1 = diffnet.forward_encoder(trained, client.features)
         assert relative_inertia(z1) < base
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_leaves_server_and_other_clients_untouched(self, algorithm):
+        ds, split = blob_fixture()
+        config = small_config(algorithm=algorithm)
+        model, clients = make_clients(ds, split, config)
+        server = ServerState(model)
+        disseminate(server, clients)
+        targets, _ = lloyd(clients[0].features, config.k, seed=3, restarts=2)
+        before = [m.theta.tobytes() for m in [model] + [c.model for c in clients[1:]]]
+        start = clients[0].model.theta.copy()
+        local_round(clients[0], model, targets if algorithm == "CCFC" else None, config,
+                    round_index=1, raw_space=True)
+        assert clients[0].model.theta.tobytes() != start.tobytes()
+        assert [m.theta.tobytes() for m in [model] + [c.model for c in clients[1:]]] == before
 
     def test_noreg_equals_lambda_zero_trajectory(self):
         ds, split = blob_fixture()
