@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffnet
-from .diffnet import GradientSet, SiameseModel, as_matrix
+from .diffnet import SiameseModel, as_matrix
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 # Largest cosine block (batches x size x size float64 cells, 128 KB) that the
@@ -170,9 +170,9 @@ def combined_loss(
     lam: float,
     solo_inputs=None,
     center=None,
-) -> tuple[LossReport, GradientSet]:
+) -> tuple[LossReport, np.ndarray]:
     """Cluster-contrastive term plus lam-weighted agreement regularizer, with
-    exact parameter gradients for the local model.
+    exact parameter gradients for the local model as one theta-layout vector.
 
     Each of the step's g batches of b rows (a stack counts as its batches)
     adds 1 / (g * b) times its leave-one-out loss sum to the cluster term, in

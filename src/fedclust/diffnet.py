@@ -9,10 +9,11 @@ linear. Loss layers provide gradients with respect to the network outputs;
 
 A model keeps all of its parameters in one vector, `theta`: the encoder's
 layers, then the predictor's, each as its weight matrix and then its bias
-row. The layers' arrays are views into it. A GradientSet is one vector in the
-same layout, which `backward` fills layer by layer, and Adam's two moments
-are two more. An Adam update is therefore one fused pass over the vectors, a
-copy is one vector copy, and FedAvg is a weighted sum of vectors.
+row. The layers' arrays are views into it. A gradient is one vector in the
+same layout, which `backward` fills layer by layer and returns (`unflatten`
+gives its per-layer views), and Adam's two moments are two more. An Adam
+update is therefore one fused pass over the vectors, a copy is one vector
+copy, and FedAvg is a weighted sum of vectors.
 """
 
 from __future__ import annotations
@@ -131,29 +132,14 @@ class SiameseModel:
 
 
 @dataclass
-class GradientSet:
-    """Parameter gradients in one vector laid out as a model's theta, and
-    views of it shape-congruent with the model's param_arrays()."""
-
-    flat: np.ndarray
-    arrays: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model: SiameseModel) -> "GradientSet":
-        flat = np.zeros_like(model.theta)
-        return cls(flat, model.unflatten(flat))
-
-
-@dataclass
 class ForwardTaps:
-    """Cached activations from one forward_full call, consumed by backward."""
+    """Each layer's inputs and pre-activations from one forward_full call,
+    consumed by backward."""
 
     enc_inputs: list[np.ndarray]
     enc_preacts: list[np.ndarray]
     pred_inputs: list[np.ndarray]
     pred_preacts: list[np.ndarray]
-    z: np.ndarray
-    p: np.ndarray
 
 
 def init_model(spec_encoder: MlpSpec, spec_predictor: MlpSpec, seed: int) -> SiameseModel:
@@ -195,13 +181,17 @@ def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
     return g
 
 
-def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
-    """Encode a batch row-wise: z = f(x)."""
+def _encoder_input(model: SiameseModel, batch) -> np.ndarray:
     batch = as_matrix(batch, "batch")
     in_dim = model.encoder.weights[0].shape[0]
     if batch.shape[1] != in_dim:
         raise ShapeError(f"batch has {batch.shape[1]} cols, encoder expects {in_dim}")
-    z, _, _ = _mlp_forward(model.encoder, batch)
+    return batch
+
+
+def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
+    """Encode a batch row-wise: z = f(x)."""
+    z, _, _ = _mlp_forward(model.encoder, _encoder_input(model, batch))
     return z
 
 
@@ -217,19 +207,15 @@ def forward_predictor(model: SiameseModel, z) -> np.ndarray:
 
 def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardTaps]:
     """Run encoder then predictor, caching activations for backward."""
-    batch = as_matrix(batch, "batch")
-    in_dim = model.encoder.weights[0].shape[0]
-    if batch.shape[1] != in_dim:
-        raise ShapeError(f"batch has {batch.shape[1]} cols, encoder expects {in_dim}")
-    z, enc_in, enc_pre = _mlp_forward(model.encoder, batch)
+    z, enc_in, enc_pre = _mlp_forward(model.encoder, _encoder_input(model, batch))
     p, pred_in, pred_pre = _mlp_forward(model.predictor, z)
-    return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre, z, p)
+    return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre)
 
 
-def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> GradientSet:
+def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> np.ndarray:
     """Exact parameter gradients of a scalar loss whose gradient w.r.t. the
     predictor outputs p is grad_pred (paths treated as constants by a loss
-    simply contribute nothing here), written into a fresh GradientSet."""
+    simply contribute nothing here), as a fresh vector laid out as theta."""
     if len(taps.enc_inputs) != len(model.encoder.weights) or len(taps.pred_inputs) != len(
         model.predictor.weights
     ):
@@ -238,27 +224,27 @@ def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> G
     for cached, w in zip(taps.enc_inputs + taps.pred_inputs, weights):
         if cached.shape[1] != w.shape[0]:
             raise StateError("taps are incongruent with the model (stale forward cache?)")
-    if grad_pred.shape != taps.p.shape:
-        raise ShapeError(f"grad_pred shape {grad_pred.shape} != outputs shape {taps.p.shape}")
+    out_shape = taps.pred_preacts[-1].shape  # the linear output layer's, so p's
+    if grad_pred.shape != out_shape:
+        raise ShapeError(f"grad_pred shape {grad_pred.shape} != outputs shape {out_shape}")
 
-    flat = np.empty_like(model.theta)  # every entry is written below
-    grads = GradientSet(flat, model.unflatten(flat))
+    grads = np.empty_like(model.theta)  # every entry is written below
+    arrays = model.unflatten(grads)
     n = 2 * len(model.encoder.weights)
     gz = _mlp_backward(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred,
-                       grads.arrays[n::2], grads.arrays[n + 1::2])
+                       arrays[n::2], arrays[n + 1::2])
     _mlp_backward(model.encoder, taps.enc_inputs, taps.enc_preacts, gz,
-                  grads.arrays[0:n:2], grads.arrays[1:n:2], input_grad=False)
+                  arrays[0:n:2], arrays[1:n:2], input_grad=False)
     return grads
 
 
-def adam_step(model: SiameseModel, grads: GradientSet, lr: float) -> SiameseModel:
-    """One bias-corrected Adam update of the whole parameter vector, in place;
-    returns the same model."""
-    if [g.shape for g in grads.arrays] != model._shapes:
-        raise ShapeError("gradient set is not shape-congruent with the model")
-    g = grads.flat
+def adam_step(model: SiameseModel, g: np.ndarray, lr: float) -> SiameseModel:
+    """One bias-corrected Adam update of the whole parameter vector by the
+    theta-layout gradient `g`, in place; returns the same model."""
+    if g.shape != model.theta.shape:
+        raise ShapeError(f"gradient shape {g.shape} != parameter vector shape {model.theta.shape}")
     if not np.isfinite(g).all():
-        name = next(name for name, a in zip(model.param_names(), grads.arrays)
+        name = next(name for name, a in zip(model.param_names(), model.unflatten(g))
                     if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient entry in {name}")
     model.adam_t += 1

@@ -161,19 +161,6 @@ TOP_FIELDS: dict[str, _Field] = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """A fully validated experiment description (defaults resolved)."""
-
-    data: dict
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def to_json(self) -> dict:
-        return json.loads(json.dumps(self.data))
-
-
 def _validate_section(section: str, schema: dict, given: dict) -> dict:
     out = {}
     for key, value in given.items():
@@ -188,9 +175,10 @@ def _validate_section(section: str, schema: dict, given: dict) -> dict:
     return out
 
 
-def parse_config(source=None, overrides: list[str] | None = None) -> ExperimentConfig:
+def parse_config(source=None, overrides: list[str] | None = None) -> dict:
     """Validate a config (path, dict, or None for pure defaults) plus
-    --set style dotted overrides; unknown keys are errors."""
+    --set style dotted overrides; unknown keys are errors. Returns the
+    fully validated config (defaults resolved) as a JSON-native dict."""
     if source is None:
         raw: dict = {}
     elif isinstance(source, dict):
@@ -221,7 +209,7 @@ def parse_config(source=None, overrides: list[str] | None = None) -> ExperimentC
                 raise ConfigError(f"override {dotted!r}: {part!r} is not an object")
         node[parts[-1]] = value
 
-    data = {}
+    cfg = {}
     for key in raw:
         if key not in SCHEMA and key not in TOP_FIELDS:
             raise ConfigError(f"unknown key '{key}'")
@@ -229,15 +217,14 @@ def parse_config(source=None, overrides: list[str] | None = None) -> ExperimentC
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(f"'{section}' must be an object")
-        data[section] = _validate_section(section, sub, given)
+        cfg[section] = _validate_section(section, sub, given)
     for key, fld in TOP_FIELDS.items():
-        data[key] = fld.validate(key, raw[key]) if key in raw else fld.default
+        cfg[key] = fld.validate(key, raw[key]) if key in raw else fld.default
 
-    cfg = ExperimentConfig(data)
     _cell(cfg, None)  # the sections' own values, which a sweep overrides
-    if data["dataset"]["type"] == "fvd" and not data["dataset"]["path"]:
+    if cfg["dataset"]["type"] == "fvd" and not cfg["dataset"]["path"]:
         raise ConfigError("dataset.path: required when dataset.type is 'fvd'")
-    if data["sweep"]["axis"] != "none" and not data["sweep"]["values"]:
+    if cfg["sweep"]["axis"] != "none" and not cfg["sweep"]["values"]:
         raise ConfigError("sweep.values: must be non-empty when sweep.axis is set")
     for value in _sweep_values(cfg):
         try:
@@ -251,12 +238,12 @@ def parse_config(source=None, overrides: list[str] | None = None) -> ExperimentC
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-def _sweep_values(cfg: ExperimentConfig) -> list:
+def _sweep_values(cfg: dict) -> list:
     """The swept key's values in grid order; [None] when nothing is swept."""
     return cfg["sweep"]["values"] if cfg["sweep"]["axis"] != "none" else [None]
 
 
-def _cell(cfg: ExperimentConfig, value, seed: int = 0, **sizes) -> tuple[RunConfig, PartitionSpec]:
+def _cell(cfg: dict, value, seed: int = 0, **sizes) -> tuple[RunConfig, PartitionSpec]:
     """One grid cell's validated RunConfig and PartitionSpec: the run and
     partition sections with the swept key set to `value` (None keeps the
     sections' own). `sizes` fills the keys left null (k, num_clients,
@@ -282,7 +269,7 @@ def _cell(cfg: ExperimentConfig, value, seed: int = 0, **sizes) -> tuple[RunConf
     return run_cfg, spec
 
 
-def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
+def _load_dataset(cfg: dict) -> LabeledDataset:
     ds = cfg["dataset"]
     if ds["type"] == "synthetic":
         return datagen.gaussian_mixture(
@@ -324,7 +311,7 @@ def _run_cell(cfg, dataset, value, seed, log):
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, log=None) -> list[ResultRow]:
+def run_experiment(cfg: dict, log=None) -> list[ResultRow]:
     """Execute the sweep x repeats grid; rows come back in grid order."""
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr, flush=True)
@@ -356,7 +343,7 @@ def _result_paths(out_dir, overwrite: bool) -> tuple[Path, Path]:
     return paths
 
 
-def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwrite: bool) -> tuple[Path, Path]:
+def write_results(rows: list[ResultRow], cfg: dict, out_dir, overwrite: bool) -> tuple[Path, Path]:
     """Write results.csv and results.json (with the effective config embedded)."""
     csv_path, json_path = _result_paths(out_dir, overwrite)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -365,7 +352,7 @@ def write_results(rows: list[ResultRow], cfg: ExperimentConfig, out_dir, overwri
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows([_format_cell(v) for v in rec.values()] for rec in records)
-    payload = {"config": cfg.to_json(), "rows": records}
+    payload = {"config": cfg, "rows": records}
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
 

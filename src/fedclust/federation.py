@@ -21,7 +21,7 @@ from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
 from .diffnet import MlpSpec, SiameseModel
 from .errors import ConfigError, MetricError, ProtocolError, SizeError
-from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
+from .kmeans import DEFAULT_RESTARTS, Assignment, CentroidSet, assign_nearest, lloyd
 
 ALGORITHMS = (
     "CCFC",
@@ -196,7 +196,7 @@ def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
 
 
 def aggregate_centroids(updates: list[ClientUpdate], k: int, seed: int,
-                        restarts: int = 10) -> CentroidSet:
+                        restarts: int = DEFAULT_RESTARTS) -> CentroidSet:
     """Fuse uploaded local centroids into k global ones with another k-means."""
     if not updates:
         raise ProtocolError("cannot aggregate zero centroid uploads")
@@ -227,6 +227,12 @@ def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int) -> Centr
     return aggregate_centroids(
         updates, config.k, _stream_seed(config.seed, *stream), restarts=config.kmeans_restarts
     )
+
+
+def _kfed_uploads(config: RunConfig, clients) -> list[ClientUpdate]:
+    """k-FED's client side: each (client_id, features) pair's upload, the
+    seeded k-means centroids of its raw features."""
+    return [ClientUpdate(l, len(x), None, _mine(config, x, _S_KFED, l)) for l, x in clients]
 
 
 def _uploads(clients: list[ClientState]) -> list[ClientUpdate]:
@@ -353,28 +359,6 @@ def local_round(
     return client.model, centroids, reports
 
 
-def run_kfed(config: RunConfig, dataset: LabeledDataset, split: FederatedSplit) -> Assignment:
-    """Raw-space baseline: per-client k-means, server-side k-means over the
-    uploaded centroids, nearest-centroid labeling of the full dataset."""
-    config.validate()
-    m = split.num_clients
-    disconnected = sample_disconnections(
-        m, config.disconnection_rate, _stream_seed(config.seed, _S_CONN)
-    )
-    updates = [
-        _kfed_update(config, client_id, dataset.features[split.client_indices[client_id]])
-        for client_id in range(m)
-        if client_id not in disconnected
-    ]
-    return assign_nearest(dataset.features, _fuse(config, updates, _S_KFED, m))
-
-
-def _kfed_update(config: RunConfig, client_id: int, features: np.ndarray) -> ClientUpdate:
-    """One client's k-FED upload: k-means centroids of its raw features."""
-    cset = _mine(config, features, _S_KFED, client_id)
-    return ClientUpdate(client_id, features.shape[0], None, cset)
-
-
 def _evaluate(
     config: RunConfig,
     server: ServerState,
@@ -456,7 +440,8 @@ def run(
     centroids instead). A zero-round run instead has clients mine centroids
     from the initial model's latents and the server fuse them, which is what
     it reports. The sample-contrastive variants group nothing, so with any
-    round to run they start without centroids.
+    round to run they start without centroids. KFED is that raw-space
+    bootstrap alone: it labels every row with its nearest fused centroid.
 
     Each round then runs broadcast, local training, and aggregation. The
     first R = ceil(rounds / 4) rounds group each client's data against the
@@ -485,9 +470,14 @@ def run(
     m = split.num_clients
     if m < 1:
         raise ConfigError("split has no clients")
+    disconnected = sample_disconnections(
+        m, config.disconnection_rate, _stream_seed(config.seed, _S_CONN)
+    )
 
     if config.algorithm == "KFED":
-        assignment = run_kfed(config, dataset, split)
+        uploads = _kfed_uploads(config, [(l, dataset.features[split.client_indices[l]])
+                                         for l in range(m) if l not in disconnected])
+        assignment = assign_nearest(dataset.features, _fuse(config, uploads, _S_KFED, m))
         nmi_v = kappa_v = None
         if dataset.labels is not None:
             nmi_v = metrics.nmi(assignment.labels, dataset.labels)
@@ -495,9 +485,6 @@ def run(
         final = RoundRecord(0, None, None, None, nmi_v, kappa_v, None)
         return RunResult([], assignment, final)
 
-    disconnected = sample_disconnections(
-        m, config.disconnection_rate, _stream_seed(config.seed, _S_CONN)
-    )
     enc_spec = MlpSpec((dataset.dim, *config.encoder_hidden, config.latent_dim))
     pred_spec = MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim))
     server = ServerState(
@@ -520,7 +507,7 @@ def run(
     raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
     raw_targets: dict[int, CentroidSet] = {}
     if raw_rounds:
-        raw_updates = [_kfed_update(config, c.client_id, c.features) for c in connected]
+        raw_updates = _kfed_uploads(config, [(c.client_id, c.features) for c in connected])
         if config.standalone:
             raw_targets = {u.client_id: u.centroids for u in raw_updates}
         else:

@@ -73,7 +73,7 @@ def fd_gradient_error(model, snapshot, batches, lam, h=1e-5, center=None):
     assert abs(base - report.total) < 1e-12  # same objective at the base point
 
     worst = 0.0
-    for arr, g in zip(model.param_arrays(), grads.arrays):
+    for arr, g in zip(model.param_arrays(), model.unflatten(grads)):
         flat, gflat = arr.ravel(), g.ravel()
         for idx in range(flat.size):
             keep = flat[idx]
@@ -258,8 +258,7 @@ class TestCombinedLoss:
         _, _, taps = diffnet.forward_full(m2, x)
         _, gp, _ = cluster_contrastive_loss(m2, batches)
         expected = diffnet.backward(m2, taps, gp[0])
-        for a, b in zip(grads.arrays, expected.arrays):
-            np.testing.assert_allclose(a, b, atol=1e-14)
+        np.testing.assert_allclose(grads, expected, atol=1e-14)
 
     def test_saturated_case(self):
         # Identical local/global models and one aligned cluster: both heads at -1.
@@ -311,8 +310,7 @@ class TestCombinedLoss:
             model, global_pred, batches, lam=0.2, center=np.zeros(model.latent_dim)
         )
         assert plain == zero
-        for a, b in zip(g_plain.arrays, g_zero.arrays):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g_plain, g_zero)
 
     @pytest.mark.parametrize("solo_rows", [0, 3])
     def test_function_centre_matches_a_separate_encoder_pass(self, solo_rows):
@@ -393,7 +391,7 @@ class TestCombinedLoss:
                 gz[j] += -(pu[i] - cos[i, j] * zu[j]) / np.linalg.norm(z[j])
         gz /= 1.0 * b * (b - 1)
         full, _ = chain_rule_gradients(model, taps, gp[0], grad_latent=gz)
-        assert any(not np.allclose(a, c, atol=1e-12) for a, c in zip(grads.arrays, full))
+        assert any(not np.allclose(a, c, atol=1e-12) for a, c in zip(model.unflatten(grads), full))
 
     def test_solo_rows_join_regularizer_only(self):
         model = make_model(seed=9)
@@ -420,9 +418,7 @@ def assert_bitwise_equal(result, expected):
     terms, expected_grads = expected
     got = (report.contrastive_term, report.regularizer_term, report.total)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in terms]
-    assert len(grads.arrays) == len(expected_grads.arrays)
-    for a, e in zip(grads.arrays, expected_grads.arrays):
-        assert a.shape == e.shape and a.tobytes() == e.tobytes()
+    assert grads.shape == expected_grads.shape and grads.tobytes() == expected_grads.tobytes()
 
 
 def random_sizes(kind, rng):

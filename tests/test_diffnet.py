@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedclust import diffnet
-from fedclust.diffnet import GradientSet, MlpSpec, init_model
+from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import NumericError, ShapeError, StateError
 from loss_oracles import chain_rule_gradients
 
@@ -56,10 +56,10 @@ def reference_adam(params, grad_steps, lr):
 
 
 def random_gradients(model, rng):
-    """A GradientSet of normal entries at a different scale per array, with
-    some exact zeros."""
-    grads = GradientSet.zeros_like(model)
-    for g in grads.arrays:
+    """A theta-layout gradient of normal entries at a different scale per
+    array, with some exact zeros."""
+    grads = np.zeros_like(model.theta)
+    for g in model.unflatten(grads):
         g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
         g[rng.random(g.shape) < 0.1] = 0.0
     return grads
@@ -115,7 +115,7 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(5, 4))
         _, p, taps = diffnet.forward_full(model, x)
         grads = diffnet.backward(model, taps, np.zeros_like(p))
-        assert all(np.all(g == 0.0) for g in grads.arrays)
+        assert all(np.all(g == 0.0) for g in model.unflatten(grads))
 
     def test_linear_layer_sum_loss(self):
         # Loss = sum of outputs of a single linear predictor layer:
@@ -125,9 +125,9 @@ class TestBackward:
         z, p, taps = diffnet.forward_full(model, x)
         grads = diffnet.backward(model, taps, np.ones_like(p))
         names = model.param_names()
-        gw = grads.arrays[names.index("predictor.W0")]
+        gw = model.unflatten(grads)[names.index("predictor.W0")]
         np.testing.assert_allclose(gw, z.sum(axis=0)[:, None] * np.ones((1, 3)), atol=1e-12)
-        gb = grads.arrays[names.index("predictor.b0")]
+        gb = model.unflatten(grads)[names.index("predictor.b0")]
         np.testing.assert_allclose(gb, np.full(3, 6.0), atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -145,7 +145,7 @@ class TestBackward:
         grads = diffnet.backward(model, taps, direction)
 
         h = 1e-5
-        for arr, g in zip(model.param_arrays(), grads.arrays):
+        for arr, g in zip(model.param_arrays(), model.unflatten(grads)):
             flat, gflat = arr.ravel(), g.ravel()
             for idx in range(flat.size):
                 keep = flat[idx]
@@ -170,7 +170,26 @@ class TestBackward:
         expected, gx = chain_rule_gradients(model, taps, upstream)
         assert gx.shape == x.shape
         grads = diffnet.backward(model, taps, upstream)
-        assert [g.tobytes() for g in grads.arrays] == [g.tobytes() for g in expected]
+        assert [g.tobytes() for g in model.unflatten(grads)] == [g.tobytes() for g in expected]
+
+    def test_gradient_is_a_theta_layout_vector(self):
+        model = make_model()
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        _, p, taps = diffnet.forward_full(model, x)
+        grads = diffnet.backward(model, taps, np.ones_like(p))
+        assert grads.shape == model.theta.shape and grads.dtype == model.theta.dtype
+        assert not np.shares_memory(grads, model.theta)
+        assert ([g.shape for g in model.unflatten(grads)]
+                == [a.shape for a in model.param_arrays()])
+        assert all(np.shares_memory(g, grads) for g in model.unflatten(grads))
+
+    def test_wrong_upstream_shape_rejected(self):
+        model = make_model()
+        x = np.random.default_rng(5).normal(size=(5, 4))
+        _, p, taps = diffnet.forward_full(model, x)
+        for shape in ((4, 3), (5, 2), (15,)):
+            with pytest.raises(ShapeError):
+                diffnet.backward(model, taps, np.zeros(shape))
 
     def test_incongruent_taps_rejected(self):
         model = make_model()
@@ -185,15 +204,15 @@ class TestAdam:
     def test_zero_gradients_keep_parameters(self):
         model = make_model()
         before = [a.copy() for a in model.param_arrays()]
-        diffnet.adam_step(model, GradientSet.zeros_like(model), lr=0.1)
+        diffnet.adam_step(model, np.zeros_like(model.theta), lr=0.1)
         assert model.adam_t == 1
         for a, b in zip(model.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
     def test_first_step_is_scaled_sign_descent(self):
         model = make_model()
-        grads = GradientSet.zeros_like(model)
-        grads.arrays[0][0, 0] = 1.0
+        grads = np.zeros_like(model.theta)
+        model.unflatten(grads)[0][0, 0] = 1.0
         start = model.param_arrays()[0][0, 0]
         diffnet.adam_step(model, grads, lr=0.1)
         moved = start - model.param_arrays()[0][0, 0]
@@ -207,15 +226,26 @@ class TestAdam:
         model = make_model()
         model.param_arrays()[0][0, 0] = 1.0
         for step in range(3):
-            grads = GradientSet.zeros_like(model)
-            grads.arrays[0][0, 0] = model.param_arrays()[0][0, 0]
+            grads = np.zeros_like(model.theta)
+            model.unflatten(grads)[0][0, 0] = model.param_arrays()[0][0, 0]
             diffnet.adam_step(model, grads, lr=0.1)
             assert abs(model.param_arrays()[0][0, 0] - expected[step]) < 1e-10
 
+    def test_wrong_gradient_shape_rejected(self):
+        model = make_model()
+        before = model.theta.copy()
+        size = model.theta.size
+        for grads in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size)),
+                      np.zeros((size, 1))):
+            with pytest.raises(ShapeError):
+                diffnet.adam_step(model, grads, lr=0.1)
+        assert model.adam_t == 0
+        assert model.theta.tobytes() == before.tobytes()
+
     def test_nonfinite_gradient_names_layer(self):
         model = make_model()
-        grads = GradientSet.zeros_like(model)
-        grads.arrays[2][0, 0] = np.nan
+        grads = np.zeros_like(model.theta)
+        model.unflatten(grads)[2][0, 0] = np.nan
         with pytest.raises(NumericError, match="encoder.W1"):
             diffnet.adam_step(model, grads, lr=0.1)
 
@@ -231,7 +261,7 @@ class TestAdam:
         steps = []
         for _ in range(6):
             grads = random_gradients(model, rng)
-            steps.append([g.copy() for g in grads.arrays])
+            steps.append([g.copy() for g in model.unflatten(grads)])
             diffnet.adam_step(model, grads, lr=3e-3)
             expected = reference_adam(start, steps, lr=3e-3)
             assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]
@@ -287,12 +317,10 @@ class TestFlatLayout:
         x = np.random.default_rng(2).normal(size=(5, 4))
         _, p, taps = diffnet.forward_full(model, x)
         first = diffnet.backward(model, taps, np.ones_like(p))
-        kept = first.flat.copy()
+        kept = first.copy()
         second = diffnet.backward(model, taps, 2.0 * np.ones_like(p))
-        assert not np.shares_memory(first.flat, second.flat)
-        assert first.flat.tobytes() == kept.tobytes()
-        for g, flat in ((first, first.flat), (second, second.flat)):
-            assert all(np.shares_memory(a, flat) for a in g.arrays)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestInit:
@@ -353,7 +381,7 @@ class TestKernelBenchmarks:
         grads = random_gradients(model, np.random.default_rng(3))
         start = [a.copy() for a in model.param_arrays()]
         benchmark.pedantic(diffnet.adam_step, args=(model, grads, 3e-3), rounds=300)
-        steps = [grads.arrays] * model.adam_t
+        steps = [model.unflatten(grads)] * model.adam_t
         expected = reference_adam(start, steps, lr=3e-3)
         assert model.adam_t == 300
         assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]

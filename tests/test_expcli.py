@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from fedclust import expcli
 from fedclust.errors import ConfigError, FormatError
 from fedclust.expcli import (
-    ExperimentConfig,
     ResultRow,
     main,
     parse_config,
@@ -73,8 +72,18 @@ class TestParseConfig:
 
     def test_round_trip_is_identity(self):
         cfg = parse_config(SMALL)
-        again = parse_config(cfg.to_json())
+        again = parse_config(cfg)
         assert again == cfg
+
+    def test_result_is_json_native(self):
+        cfg = parse_config(SMALL, overrides=["run.lr=1", "partition.num_clients=null"])
+        assert json.loads(json.dumps(cfg)) == cfg
+        assert isinstance(cfg["run"]["lr"], float)
+        assert isinstance(cfg["run"]["encoder_hidden"], list)
+        again = parse_config(cfg)
+        assert again == cfg
+        again["run"]["encoder_hidden"].append(1)
+        assert again != cfg  # a fresh dict, sharing nothing with its source
 
     def test_overrides_apply_and_validate(self):
         cfg = parse_config(SMALL, overrides=["run.lambda=0.5", "repeats=2"])
@@ -176,7 +185,7 @@ class TestRunExperiment:
         csv_path, json_path = write_results(rows, cfg, tmp_path / "out", overwrite=False)
         from_csv = read_results_csv(csv_path)
         payload = json.loads(json_path.read_text())
-        assert payload["config"] == cfg.to_json()
+        assert payload["config"] == cfg
         assert len(payload["rows"]) == len(from_csv)
         for jrow, crow in zip(payload["rows"], from_csv):
             assert jrow["algorithm"] == crow.algorithm
@@ -372,10 +381,14 @@ class TestCli:
         assert not (tmp_path / "data.fvd").exists()
 
     def test_installed_entry_point(self, tmp_path):
+        # The child imports the package this suite imports (a checkout's src
+        # under pytest's pythonpath, or the installed copy).
+        src_dir = str(Path(expcli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "fedclust.expcli", "summarize", "--in", "/nonexistent.csv"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
         )
         assert proc.returncode == 3
 

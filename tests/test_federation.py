@@ -22,7 +22,6 @@ from fedclust.federation import (
     disseminate,
     local_round,
     run,
-    run_kfed,
     sample_disconnections,
 )
 from fedclust.kmeans import CentroidSet, assign_nearest, lloyd
@@ -612,7 +611,7 @@ class TestKfed:
         ds, _ = blob_fixture(k=3, n_per=40, m=3)
         split = FederatedSplit([np.arange(ds.n)])
         config = small_config(algorithm="KFED", k=3)
-        got = run_kfed(config, ds, split)
+        got = run(config, ds, split).assignment
         cents, expected = lloyd(
             ds.features, 3,
             federation._stream_seed(config.seed, federation._S_KFED, 0),
@@ -628,7 +627,7 @@ class TestKfed:
     def test_pure_separated_clients_reach_perfect_nmi(self):
         ds, split = blob_fixture(k=3, n_per=40, dim=4, separation=30.0, m=3, p=1.0)
         config = small_config(algorithm="KFED", k=3)
-        assignment = run_kfed(config, ds, split)
+        assignment = run(config, ds, split).assignment
         assert metrics.nmi(assignment.labels, ds.labels) == pytest.approx(1.0)
 
     def test_iid_close_to_centralized_km(self):
@@ -637,13 +636,39 @@ class TestKfed:
         for seed in range(5):
             split = datagen.partition(ds, PartitionSpec(5, 0.0, 100, seed=seed))
             config = small_config(algorithm="KFED", k=5, seed=seed)
-            assignment = run_kfed(config, ds, split)
+            assignment = run(config, ds, split).assignment
             _, central = lloyd(ds.features, 5, seed=seed)
             gaps.append(
                 metrics.nmi(assignment.labels, ds.labels)
                 - metrics.nmi(central.labels, ds.labels)
             )
         assert all(abs(g) <= 0.05 for g in gaps)
+
+    def test_labels_match_ccfc_round_one_targets(self, monkeypatch):
+        # KFED is CCFC's raw-space bootstrap: the same connected clients
+        # upload the same k-FED centroids, and KFED labels every row with
+        # the nearest of the fused ones that CCFC groups on in round 1.
+        # Overlapping blobs, so that other uploads or another fusion seed
+        # would move the labels.
+        ds, split = blob_fixture(k=3, n_per=40, m=4, separation=1.5)
+        config = small_config(rounds=1, disconnection_rate=0.5)
+        seen = {}
+        inner = federation.local_round
+
+        def spy(client, snapshot, targets, config, round_index, raw_space=False):
+            seen[client.client_id] = (round_index, raw_space, targets)
+            return inner(client, snapshot, targets, config, round_index, raw_space)
+
+        monkeypatch.setattr(federation, "local_round", spy)
+        run(config, ds, split)
+        assert len(seen) == 2
+        target, *others = [targets for _, _, targets in seen.values()]
+        assert all(rnd == 1 and raw for rnd, raw, _ in seen.values())
+        assert all(other is target for other in others)
+
+        kfed = run(dataclasses.replace(config, algorithm="KFED"), ds, split)
+        expected = assign_nearest(ds.features, target).labels
+        np.testing.assert_array_equal(kfed.assignment.labels, expected)
 
     def test_run_wrapper_emits_final_only(self):
         ds, split = blob_fixture(k=3, n_per=40, m=3)
