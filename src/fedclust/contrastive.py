@@ -15,9 +15,9 @@ row in one pass, then takes each run of consecutive equal-size batches as
 (batches, size, dim) views: one batched matmul gives the cosines, and the
 leave-one-out row sums and the prediction gradient follow for the whole run,
 bit-identical to a batch-by-batch evaluation. The pass works in place in the
-targets copy and the upstream gradient, and allocates at most _COS_CELLS
-cosines at a time, because at a training step's shape fresh (batches, size,
-dim) temporaries cost more to fault in than the arithmetic on them.
+targets copy and the upstream gradient, because at a training step's shape
+fresh (batches, size, dim) temporaries cost more to fault in than the
+arithmetic on them.
 
 The latent targets may be centred: combined_loss subtracts a centre c from
 every target, so each prediction is pulled toward z_j - c instead of z_j.
@@ -40,11 +40,6 @@ import numpy as np
 from . import diffnet
 from .diffnet import SiameseModel, as_matrix
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-
-# Largest cosine block (batches x size x size float64 cells, 128 KB) that the
-# cluster term allocates; longer runs of batches are split into chunks.
-_COS_CELLS = 16384
-
 
 @dataclass
 class ClusterBatch:
@@ -88,10 +83,6 @@ class LossReport:
     regularizer_term: float
     total: float
 
-    @classmethod
-    def build(cls, contrastive: float, regularizer: float) -> "LossReport":
-        return cls(contrastive, regularizer, contrastive + regularizer)
-
 
 def _row_norms(x: np.ndarray, scratch: np.ndarray, name: str) -> np.ndarray:
     """Euclidean norms over the last axis (keepdims), squaring into `scratch`."""
@@ -99,11 +90,6 @@ def _row_norms(x: np.ndarray, scratch: np.ndarray, name: str) -> np.ndarray:
     if not norms.all():
         raise NumericError(f"zero-norm row in {name}: cosine similarity undefined")
     return norms
-
-
-def _unit_rows(x: np.ndarray, name: str):
-    norms = _row_norms(x, np.empty_like(x), name)
-    return x / norms, norms
 
 
 def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[int]) -> float:
@@ -121,24 +107,22 @@ def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[in
     for b, run in itertools.groupby(sizes):
         g = len(list(run))
         weight = 1.0 / (len(sizes) * b)
-        chunk = max(1, _COS_CELLS // (b * b))
-        for first in range(0, g, chunk):
-            rows = slice(offset + first * b, offset + min(g, first + chunk) * b)
-            z3 = zu[rows].reshape(-1, b, t.shape[1])
-            p3 = pu[rows].reshape(z3.shape)
-            cos = np.matmul(p3, z3.transpose(0, 2, 1))  # cos[., i, j] = cos(p_i, z_j)
-            row = cos.sum(axis=2) - np.diagonal(cos, axis1=1, axis2=2)  # per i: sum over j != i
-            for value in (weight * (row.sum(axis=1) / (1 - b))).tolist():
-                term += value
-            # Per i: sum over j != i of unit z_j.
-            others = np.subtract(z3.sum(axis=1)[:, None, :], z3, out=z3)
-            # weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|), built in place
-            # as (row_i * pu_i - others) / ...: equal up to the sign of zeros,
-            # which the sums of diffnet.backward do not pass on.
-            np.multiply(row[:, :, None], p3, out=p3)
-            np.subtract(p3, others, out=p3)
-            np.divide(p3, (b - 1) * pn[rows].reshape(-1, b, 1), out=p3)
-            np.multiply(p3, weight, out=p3)
+        rows = slice(offset, offset + g * b)
+        z3 = zu[rows].reshape(g, b, t.shape[1])
+        p3 = pu[rows].reshape(z3.shape)
+        cos = np.matmul(p3, z3.transpose(0, 2, 1))  # cos[., i, j] = cos(p_i, z_j)
+        row = cos.sum(axis=2) - np.diagonal(cos, axis1=1, axis2=2)  # per i: sum over j != i
+        for value in (weight * (row.sum(axis=1) / (1 - b))).tolist():
+            term += value
+        # Per i: sum over j != i of unit z_j.
+        others = np.subtract(z3.sum(axis=1)[:, None, :], z3, out=z3)
+        # weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|), built in place
+        # as (row_i * pu_i - others) / ...: equal up to the sign of zeros,
+        # which the sums of diffnet.backward do not pass on.
+        np.multiply(row[:, :, None], p3, out=p3)
+        np.subtract(p3, others, out=p3)
+        np.divide(p3, (b - 1) * pn[rows].reshape(g, b, 1), out=p3)
+        np.multiply(p3, weight, out=p3)
         offset += g * b
     return term
 
@@ -147,8 +131,10 @@ def _regularizer_terms(p_local: np.ndarray, p_global: np.ndarray):
     """Mean negative cosine between local and frozen-global predictions, with
     gradient w.r.t. the local predictions only."""
     n = p_local.shape[0]
-    pu, pn = _unit_rows(p_local, "local predictions")
-    gu, _ = _unit_rows(p_global, "global predictions")
+    scratch = np.empty_like(p_local)
+    pn = _row_norms(p_local, scratch, "local predictions")
+    pu = p_local / pn
+    gu = p_global / _row_norms(p_global, scratch, "global predictions")
     cos = np.einsum("ij,ij->i", pu, gu)
     value = float(-cos.sum() / n)
     dp = -(gu - cos[:, None] * pu) / (n * pn)
@@ -222,4 +208,4 @@ def combined_loss(
         upstream += lam * dp_reg
 
     grads = diffnet.backward(model, taps, upstream)
-    return LossReport.build(contrastive, regularizer), grads
+    return LossReport(contrastive, regularizer, contrastive + regularizer), grads

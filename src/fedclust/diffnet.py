@@ -181,33 +181,30 @@ def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
     return g
 
 
-def _encoder_input(model: SiameseModel, batch) -> np.ndarray:
-    batch = as_matrix(batch, "batch")
-    in_dim = model.encoder.weights[0].shape[0]
-    if batch.shape[1] != in_dim:
-        raise ShapeError(f"batch has {batch.shape[1]} cols, encoder expects {in_dim}")
-    return batch
+def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
+    x = as_matrix(x, name)
+    in_dim = params.weights[0].shape[0]
+    if x.shape[1] != in_dim:
+        raise ShapeError(f"{name} has {x.shape[1]} cols, {net} expects {in_dim}")
+    return x
 
 
 def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
     """Encode a batch row-wise: z = f(x)."""
-    z, _, _ = _mlp_forward(model.encoder, _encoder_input(model, batch))
+    z, _, _ = _mlp_forward(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
     return z
 
 
 def forward_predictor(model: SiameseModel, z) -> np.ndarray:
     """Map latent rows through the predictor: p = h(z)."""
-    z = as_matrix(z, "z")
-    in_dim = model.predictor.weights[0].shape[0]
-    if z.shape[1] != in_dim:
-        raise ShapeError(f"z has {z.shape[1]} cols, predictor expects {in_dim}")
-    p, _, _ = _mlp_forward(model.predictor, z)
+    p, _, _ = _mlp_forward(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
     return p
 
 
 def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardTaps]:
     """Run encoder then predictor, caching activations for backward."""
-    z, enc_in, enc_pre = _mlp_forward(model.encoder, _encoder_input(model, batch))
+    batch = _net_input(model.encoder, batch, "batch", "encoder")
+    z, enc_in, enc_pre = _mlp_forward(model.encoder, batch)
     p, pred_in, pred_pre = _mlp_forward(model.predictor, z)
     return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre)
 

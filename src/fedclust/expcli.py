@@ -15,7 +15,6 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import datagen, federation
@@ -26,35 +25,25 @@ from .federation import RunConfig
 SWEEP_AXES = ("none", "p", "lambda", "disconnection_rate")
 
 
-@dataclass
-class ResultRow:
-    algorithm: str
-    p: float
-    lam: float
-    disconnection_rate: float
-    seed: int
-    round: int
-    loss_total: float | None
-    loss_contrastive: float | None
-    loss_regularizer: float | None
-    nmi: float | None
-    kappa: float | None
-    ch_score: float | None
-    final: bool
-
-
-CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(ResultRow)]
-
-
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
 
 
-# The parser of each CSV column, by the column's ResultRow type.
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-            "float | None": lambda text: None if text == "" else float(text)}
+def _parse_optional(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+# A result row is a dict with these keys, in this order: the columns of
+# results.csv, each with the parser of its text.
+COLUMNS = {
+    "algorithm": str, "p": float, "lambda": float, "disconnection_rate": float,
+    "seed": int, "round": int, "loss_total": _parse_optional,
+    "loss_contrastive": _parse_optional, "loss_regularizer": _parse_optional,
+    "nmi": _parse_optional, "kappa": _parse_optional, "ch_score": _parse_optional,
+    "final": _parse_bool,
+}
 
 SUMMARY_COLUMNS = ("algorithm", "p", "lambda", "disconnection_rate", "runs",
                    "nmi_mean", "nmi_std", "kappa_mean", "kappa_std")
@@ -74,44 +63,39 @@ def _is_number(v):
     return isinstance(v, float) and math.isfinite(v)
 
 
-class _Field:
-    """A config key's JSON kind and default. Range checks on run and
-    partition keys belong to RunConfig and PartitionSpec (see `_cell`);
-    `lo` bounds the other numeric keys."""
+# Each kind's test of one JSON value, and its name in messages, alone and in a list.
+_KINDS = {
+    "int": (_is_int, "an integer", "integers"),
+    "number": (_is_number, "a finite number", "numbers"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+}
 
-    def __init__(self, default, kind, lo=None, choices=None):
+
+class _Field:
+    """A config key's default and JSON kind (one of _KINDS, or a list of it
+    with `many`); null is valid exactly when the default is None. Range
+    checks on run and partition keys belong to RunConfig and PartitionSpec
+    (see `_cell`); `lo` bounds the other numeric keys."""
+
+    def __init__(self, default, kind, many=False, lo=None, choices=None):
         self.default = default
         self.kind = kind
+        self.many = many
         self.lo = lo
         self.choices = choices
 
     def validate(self, key, value):
-        kind = self.kind
-        if kind == "int":
-            if not _is_int(value):
-                raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        elif kind == "number":
-            if not _is_number(value):
-                raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-            value = float(value)
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"{key}: expected a string, got {value!r}")
-        elif kind == "int_or_null":
-            if value is not None and not _is_int(value):
-                raise ConfigError(f"{key}: expected an integer or null, got {value!r}")
-        elif kind == "str_or_null":
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{key}: expected a string or null, got {value!r}")
-        elif kind == "int_list":
-            if not isinstance(value, list) or not all(_is_int(v) for v in value):
-                raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-        elif kind == "number_list":
-            if not isinstance(value, list) or not all(_is_number(v) for v in value):
-                raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
-            value = [float(v) for v in value]
-        else:  # pragma: no cover
-            raise AssertionError(kind)
+        if value is None and self.default is None:
+            return value
+        test, noun, plural = _KINDS[self.kind]
+        if self.many:
+            if not isinstance(value, list) or not all(test(v) for v in value):
+                raise ConfigError(f"{key}: expected a list of {plural}, got {value!r}")
+        elif not test(value):
+            null = " or null" if self.default is None else ""
+            raise ConfigError(f"{key}: expected {noun}{null}, got {value!r}")
+        if self.kind == "number":
+            value = [float(v) for v in value] if self.many else float(value)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{key}: expected one of {self.choices}, got {value!r}")
         if self.lo is not None and value < self.lo:
@@ -127,11 +111,11 @@ SCHEMA: dict[str, dict[str, _Field]] = {
         "dim": _Field(32, "int", lo=1),
         "separation": _Field(3.0, "number", lo=0.0),
         "seed": _Field(7, "int"),
-        "path": _Field(None, "str_or_null"),
+        "path": _Field(None, "str"),
     },
     "run": {
         "algorithm": _Field("CCFC", "str"),
-        "k": _Field(None, "int_or_null"),
+        "k": _Field(None, "int"),
         "rounds": _Field(RunConfig.rounds, "int"),
         "local_epochs": _Field(RunConfig.local_epochs, "int"),
         "batch_max": _Field(RunConfig.batch_max, "int"),
@@ -139,19 +123,19 @@ SCHEMA: dict[str, dict[str, _Field]] = {
         "lr": _Field(RunConfig.lr, "number"),
         "disconnection_rate": _Field(RunConfig.disconnection_rate, "number"),
         "latent_dim": _Field(RunConfig.latent_dim, "int"),
-        "encoder_hidden": _Field(RunConfig.encoder_hidden, "int_list"),
-        "predictor_hidden": _Field(RunConfig.predictor_hidden, "int_list"),
+        "encoder_hidden": _Field(RunConfig.encoder_hidden, "int", many=True),
+        "predictor_hidden": _Field(RunConfig.predictor_hidden, "int", many=True),
         "augment_strength": _Field(RunConfig.augment_strength, "number"),
         "kmeans_restarts": _Field(RunConfig.kmeans_restarts, "int"),
     },
     "partition": {
-        "num_clients": _Field(None, "int_or_null"),
+        "num_clients": _Field(None, "int"),
         "heterogeneity": _Field(0.0, "number"),
-        "samples_per_client": _Field(None, "int_or_null"),
+        "samples_per_client": _Field(None, "int"),
     },
     "sweep": {
         "axis": _Field("none", "str", choices=SWEEP_AXES),
-        "values": _Field([], "number_list"),
+        "values": _Field([], "number", many=True),
     },
 }
 
@@ -209,17 +193,14 @@ def parse_config(source=None, overrides: list[str] | None = None) -> dict:
                 raise ConfigError(f"override {dotted!r}: {part!r} is not an object")
         node[parts[-1]] = value
 
+    top = _validate_section("", TOP_FIELDS, {k: v for k, v in raw.items() if k not in SCHEMA})
     cfg = {}
-    for key in raw:
-        if key not in SCHEMA and key not in TOP_FIELDS:
-            raise ConfigError(f"unknown key '{key}'")
     for section, sub in SCHEMA.items():
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(f"'{section}' must be an object")
         cfg[section] = _validate_section(section, sub, given)
-    for key, fld in TOP_FIELDS.items():
-        cfg[key] = fld.validate(key, raw[key]) if key in raw else fld.default
+    cfg.update(top)  # after the sections: results.json embeds cfg in this order
 
     _cell(cfg, None)  # the sections' own values, which a sweep overrides
     if cfg["dataset"]["type"] == "fvd" and not cfg["dataset"]["path"]:
@@ -299,11 +280,11 @@ def _run_cell(cfg, dataset, value, seed, log):
     split = datagen.partition(dataset, spec)
     result = federation.run(run_cfg, dataset, split, progress=progress)
     rows = [
-        ResultRow(
+        dict(zip(COLUMNS, (
             run_cfg.algorithm, p, lam, rate, seed, rec.round,
             rec.loss_total, rec.loss_contrastive, rec.loss_regularizer,
-            rec.nmi, rec.kappa, rec.ch, final=i == len(result.records),
-        )
+            rec.nmi, rec.kappa, rec.ch, i == len(result.records),
+        )))
         for i, rec in enumerate([*result.records, result.final])
     ]
     fin = result.final
@@ -311,7 +292,7 @@ def _run_cell(cfg, dataset, value, seed, log):
     return rows
 
 
-def run_experiment(cfg: dict, log=None) -> list[ResultRow]:
+def run_experiment(cfg: dict, log=None) -> list[dict]:
     """Execute the sweep x repeats grid; rows come back in grid order."""
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr, flush=True)
@@ -343,33 +324,32 @@ def _result_paths(out_dir, overwrite: bool) -> tuple[Path, Path]:
     return paths
 
 
-def write_results(rows: list[ResultRow], cfg: dict, out_dir, overwrite: bool) -> tuple[Path, Path]:
+def write_results(rows: list[dict], cfg: dict, out_dir, overwrite: bool) -> tuple[Path, Path]:
     """Write results.csv and results.json (with the effective config embedded)."""
     csv_path, json_path = _result_paths(out_dir, overwrite)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    records = [dict(zip(CSV_COLUMNS, astuple(row))) for row in rows]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([_format_cell(v) for v in rec.values()] for rec in records)
-    payload = {"config": cfg, "rows": records}
+        writer.writerow(COLUMNS)
+        writer.writerows([_format_cell(row[c]) for c in COLUMNS] for row in rows)
+    payload = {"config": cfg, "rows": rows}
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
 
 
-def read_results_csv(path) -> list[ResultRow]:
+def read_results_csv(path) -> list[dict]:
     """Rows of a results.csv; a short row or a bad value raises FormatError."""
     rows = []
     records = datagen.csv_records(path)
     header = records[0][1] if records else None
-    if header != CSV_COLUMNS:
+    if header != list(COLUMNS):
         raise ConfigError(f"{path}: unexpected CSV header {header}")
     for lineno, rec in records[1:]:
         where = f"{path} line {lineno}"
-        if len(rec) != len(CSV_COLUMNS):
-            raise FormatError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+        if len(rec) != len(COLUMNS):
+            raise FormatError(f"{where}: expected {len(COLUMNS)} fields, got {len(rec)}")
         try:
-            rows.append(ResultRow(*(_PARSERS[f.type](text) for f, text in zip(fields(ResultRow), rec))))
+            rows.append({c: parse(text) for (c, parse), text in zip(COLUMNS.items(), rec)})
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from None
     return rows
@@ -377,10 +357,10 @@ def read_results_csv(path) -> list[ResultRow]:
 
 def summarize(csv_path) -> list[dict]:
     """Mean and std of final nmi/kappa per grid cell, ordered by cell key."""
-    rows = [r for r in read_results_csv(csv_path) if r.final]
-    groups: dict[tuple, list[ResultRow]] = {}
+    rows = [r for r in read_results_csv(csv_path) if r["final"]]
+    groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        groups.setdefault((row.algorithm, row.p, row.lam, row.disconnection_rate), []).append(row)
+        groups.setdefault(tuple(row[c] for c in SUMMARY_COLUMNS[:4]), []).append(row)
 
     def agg(values):
         vals = [v for v in values if v is not None]
@@ -394,7 +374,7 @@ def summarize(csv_path) -> list[dict]:
     table = []
     for key in sorted(groups):
         cell = groups[key]
-        stats = (*agg([r.nmi for r in cell]), *agg([r.kappa for r in cell]))
+        stats = (*agg([r["nmi"] for r in cell]), *agg([r["kappa"] for r in cell]))
         table.append(dict(zip(SUMMARY_COLUMNS, (*key, len(cell), *stats))))
     return table
 

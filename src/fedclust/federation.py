@@ -133,11 +133,11 @@ class ServerState:
 
 @dataclass
 class ClientUpdate:
-    """The only payload a client may upload: parameters and centroids."""
+    """The only payload a client may upload: parameters (None in k-FED) and centroids."""
 
     client_id: int
     num_samples: int
-    model: SiameseModel
+    model: SiameseModel | None
     centroids: CentroidSet
 
 
@@ -166,8 +166,6 @@ def sample_disconnections(m: int, rate: float, seed: int) -> set[int]:
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"disconnection rate must be in [0, 1), got {rate}")
     count = math.floor(rate * m)
-    if count >= m:
-        raise ConfigError(f"disconnecting all {m} clients leaves nothing to train")
     if count == 0:
         return set()
     rng = np.random.default_rng(seed)
@@ -231,7 +229,7 @@ def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int) -> Centr
 
 def _kfed_uploads(config: RunConfig, clients) -> list[ClientUpdate]:
     """k-FED's client side: each (client_id, features) pair's upload, the
-    seeded k-means centroids of its raw features."""
+    seeded k-means centroids of its raw features and no model."""
     return [ClientUpdate(l, len(x), None, _mine(config, x, _S_KFED, l)) for l, x in clients]
 
 
@@ -535,13 +533,12 @@ def run(
         round_reports: list[LossReport] = []
         raw_space = round_index <= raw_rounds
         for client in connected:
-            snapshot = None if config.standalone else server.global_model
             if raw_space:
                 targets = raw_targets[client.client_id]
             else:
                 targets = client.centroids if config.standalone else server.global_centroids
             model, centroids, reports = local_round(
-                client, snapshot, targets, config, round_index, raw_space=raw_space
+                client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
             client.model, client.centroids = model, centroids
             round_reports.extend(reports)

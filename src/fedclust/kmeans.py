@@ -65,18 +65,22 @@ class Assignment:
             raise NumericError("inertia must be finite")
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
+def _nearest(points: np.ndarray, centroids: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest-centroid labels (ties go to the lowest index) and each
+    point's squared distance to it, from one n x k x dim pass in `out`."""
     diff = np.subtract(points[:, None, :], centroids[None, :, :], out=out)
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    d2 = np.einsum("nkd,nkd->nk", diff, diff)
+    labels = np.argmin(d2, axis=1)
+    return labels, np.take_along_axis(d2, labels[:, None], axis=1)[:, 0]
 
 
 # The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
 # per-point |x|^2 term is dropped). Its labels may differ from the exact
 # differences on distance ties, so a per-point squared distance (a reseed's
-# residuals, the trace's inertia history, the final inertia) is always
-# recomputed from the differences for the assigned centroid only. Both take the
-# centroids of several runs stacked as (runs, k, dim), return (runs, n) and
-# work in `out`, a (runs, n, k) or (runs, n, dim) array.
+# residuals, the trace's inertia history) is always recomputed from the
+# differences for the assigned centroid only. Both take the centroids of
+# several runs stacked as (runs, k, dim), return (runs, n) and work in `out`,
+# a (runs, n, k) or (runs, n, dim) array.
 def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
     d2 = np.matmul(points, centroids.transpose(0, 2, 1), out=out)
     np.multiply(d2, 2.0, out=d2)
@@ -100,10 +104,8 @@ def assign_nearest(points, centroids: CentroidSet) -> Assignment:
         raise ShapeError(
             f"points have dim {points.shape[1]}, centroids have dim {centroids.space_dim}"
         )
-    d2 = _sq_dists(points, centroids.centroids)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
-    return Assignment(labels, inertia)
+    labels, point_d2 = _nearest(points, centroids.centroids)
+    return Assignment(labels, float(point_d2.sum()))
 
 
 def _canonical_order(points: np.ndarray) -> np.ndarray:
@@ -265,19 +267,19 @@ def _runs(
         if not len(active):
             break
 
-    # Final labeling uses the exact distance path so each returned assignment
-    # is a fixed point of assign_nearest on its centroids; one run at a time
-    # keeps the temporary at n x k x dim.
+    # Final labeling uses assign_nearest's exact distance path so each
+    # returned assignment is a fixed point of it on its centroids; one run at
+    # a time keeps the temporary at n x k x dim.
     pairs = np.empty((n, k, dim))
-    labels_c = np.stack([np.argmin(_sq_dists(canon, cents, pairs), axis=1) for cents in centroids])
-    inertias = _assigned_sq_dists(canon, centroids, labels_c, work).sum(axis=1).tolist()
-    labels = np.empty_like(labels_c)
-    labels[:, order] = labels_c
     out = []
-    for cents, run_labels, inertia, steps in zip(centroids, labels, inertias, histories):
+    for cents, steps in zip(centroids, histories):
+        labels_c, point_d2 = _nearest(canon, cents, pairs)
+        inertia = float(point_d2.sum())
         if history:
             steps.append(inertia)
-        out.append((CentroidSet(cents), Assignment(run_labels, inertia), steps))
+        labels = np.empty_like(labels_c)
+        labels[order] = labels_c
+        out.append((CentroidSet(cents), Assignment(labels, inertia), steps))
     return out
 
 

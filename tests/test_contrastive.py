@@ -474,9 +474,9 @@ class TestStackedKernel:
             )
 
     @pytest.mark.parametrize("b,g", [(64, 10), (16, 70), (2, 5)])
-    def test_runs_longer_than_one_chunk(self, b, g):
-        # (64, 10) and (16, 70) hold more cosines than one chunk of the
-        # cluster term, so their runs are split.
+    def test_long_runs_in_one_pass(self, b, g):
+        # (64, 10) and (16, 70) are runs of 40,960 and 17,920 cosines, which
+        # the cluster term takes as one (g, b, b) block; (2, 5) is a small run.
         rng = np.random.default_rng(b * g)
         model, snapshot = make_model(seed=1), make_model(seed=2)
         batches = [ClusterBatch(rng.normal(size=(b, 4)), c) for c in range(g)]

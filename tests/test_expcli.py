@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fedclust import expcli
 from fedclust.errors import ConfigError, FormatError
 from fedclust.expcli import (
-    ResultRow,
+    COLUMNS,
     main,
     parse_config,
     read_results_csv,
@@ -133,6 +133,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=dotted.split(".")[-1]):
             parse_config(None, overrides=[f"{dotted}={json.dumps(value)}"])
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"run": {"k": "x"}}, "run.k: expected an integer or null, got 'x'"),
+            ({"dataset": {"path": 3}}, "dataset.path: expected a string or null, got 3"),
+            ({"run": {"encoder_hidden": [1.5]}},
+             "run.encoder_hidden: expected a list of integers, got [1.5]"),
+            ({"sweep": {"values": ["a"]}}, "sweep.values: expected a list of numbers, got ['a']"),
+            ({"run": {"lr": "x"}}, "run.lr: expected a finite number, got 'x'"),
+            ({"run": {"algorithm": 3}}, "run.algorithm: expected a string, got 3"),
+            ({"repeats": "2"}, "repeats: expected an integer, got '2'"),
+            ({"repeats": 0}, "repeats: must be >= 1, got 0"),
+            ({"pizza": 1}, "unknown key 'pizza'"),
+        ],
+        ids=["int-or-null", "str-or-null", "int-list", "number-list", "number", "str",
+             "int", "int-lo", "unknown-top-key"],
+    )
+    def test_kind_error_message(self, config, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config)
+        assert str(exc.value) == message
+
     def test_fvd_requires_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):
             parse_config({"dataset": {"type": "fvd"}})
@@ -151,8 +173,8 @@ class TestRunExperiment:
         cfg = parse_config(SMALL)
         rows = run_experiment(cfg, log=QUIET)
         assert len(rows) == 2  # one round + final
-        assert rows[-1].final
-        assert rows[-1].nmi is not None
+        assert rows[-1]["final"]
+        assert rows[-1]["nmi"] is not None
 
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -168,30 +190,29 @@ class TestRunExperiment:
             {**SMALL, "sweep": {"axis": "p", "values": [0.0, 1.0]}, "repeats": 2}
         )
         rows = run_experiment(cfg, log=QUIET)
-        finals = [r for r in rows if r.final]
+        finals = [r for r in rows if r["final"]]
         # Cells run in grid order: sweep values outer, repeats inner.
-        assert [(r.p, r.seed) for r in finals] == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
+        assert [(r["p"], r["seed"]) for r in finals] == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
 
     def test_kfed_has_null_losses(self):
         cfg = parse_config({**SMALL, "run": {**SMALL["run"], "algorithm": "KFED"}})
         rows = run_experiment(cfg, log=QUIET)
         assert len(rows) == 1
-        assert rows[0].final
-        assert rows[0].loss_total is None and rows[0].loss_contrastive is None
+        assert rows[0]["final"]
+        assert rows[0]["loss_total"] is None and rows[0]["loss_contrastive"] is None
 
     def test_csv_json_agree(self, tmp_path):
         cfg = parse_config(SMALL)
-        rows = run_experiment(cfg, log=QUIET)
+        kfed = parse_config({**SMALL, "run": {**SMALL["run"], "algorithm": "KFED"}})
+        rows = run_experiment(cfg, log=QUIET) + run_experiment(kfed, log=QUIET)
+        assert rows[-1]["loss_total"] is None and rows[-1]["ch_score"] is None  # KFED's nulls
         csv_path, json_path = write_results(rows, cfg, tmp_path / "out", overwrite=False)
         from_csv = read_results_csv(csv_path)
         payload = json.loads(json_path.read_text())
         assert payload["config"] == cfg
-        assert len(payload["rows"]) == len(from_csv)
-        for jrow, crow in zip(payload["rows"], from_csv):
-            assert jrow["algorithm"] == crow.algorithm
-            assert jrow["nmi"] == pytest.approx(crow.nmi) if jrow["nmi"] is not None else crow.nmi is None
-            assert jrow["final"] == crow.final
-            assert jrow["lambda"] == pytest.approx(crow.lam)
+        assert list(payload["rows"][0]) == list(COLUMNS)
+        assert from_csv == payload["rows"]  # every value exactly, nulls included
+        assert from_csv == rows
 
     def test_overwrite_guard(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -205,9 +226,9 @@ class TestRunExperiment:
 class TestSummarize:
     def make_rows(self):
         def row(algorithm, p, seed, nmi, kappa, final=True):
-            return ResultRow(
+            return dict(zip(COLUMNS, (
                 algorithm, p, 0.1, 0.0, seed, 5, None, None, None, nmi, kappa, None, final
-            )
+            )))
 
         return [
             row("CCFC", 0.0, 0, 0.8, 0.7),
