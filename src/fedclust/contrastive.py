@@ -33,7 +33,7 @@ shared component and leaves the differences between clusters as the targets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class ClusterBatch:
 
     inputs: np.ndarray
     cluster_id: int
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (g * b, dim), in order
+    sizes: list[int] = field(init=False, repr=False, compare=False)  # each batch's rows: [b] * g
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -61,14 +63,9 @@ class ClusterBatch:
                 f"cluster {self.cluster_id} batch has {self.inputs.shape[-2]} member(s); "
                 "need at least 2"
             )
-
-    @property
-    def rows(self) -> np.ndarray:  # (g * b, dim), a stack's batches in order
-        return self.inputs.reshape(-1, self.inputs.shape[-1])
-
-    @property
-    def sizes(self) -> list[int]:  # each batch's row count: [b] * g
-        return [self.inputs.shape[-2]] * (len(self.inputs) if self.inputs.ndim == 3 else 1)
+        # Set once here: the loss reads them for every batch of every step.
+        self.rows = self.inputs.reshape(-1, self.inputs.shape[-1])
+        self.sizes = [self.inputs.shape[-2]] * (len(self.inputs) if self.inputs.ndim == 3 else 1)
 
     @property
     def size(self) -> int:

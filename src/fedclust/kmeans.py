@@ -67,11 +67,11 @@ class Assignment:
 
 def _nearest(points: np.ndarray, centroids: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-centroid labels (ties go to the lowest index) and each
-    point's squared distance to it, from one n x k x dim pass in `out`."""
-    diff = np.subtract(points[:, None, :], centroids[None, :, :], out=out)
-    d2 = np.einsum("nkd,nkd->nk", diff, diff)
-    labels = np.argmin(d2, axis=1)
-    return labels, np.take_along_axis(d2, labels[:, None], axis=1)[:, 0]
+    point's squared distance to it, from one k x n x dim pass in `out`."""
+    diff = np.subtract(points, centroids[:, None, :], out=out)
+    d2 = np.einsum("knd,knd->kn", diff, diff)
+    labels = np.argmin(d2, axis=0)
+    return labels, d2[labels, np.arange(len(labels))]
 
 
 # The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
@@ -132,33 +132,33 @@ def _canonical(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.ascontiguousarray(points[order])
 
 
-def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
+def _seed(canon: np.ndarray, k: int, seeds) -> np.ndarray:
     """Greedy D^2-weighted seeding, one run per seed, as a (runs, k, dim) array.
 
     Each new centroid is the best of 2 + floor(ln k) weighted candidate draws
-    (the one minimizing the resulting potential; the first on ties). `work`
-    is a (runs, n, dim) scratch array.
+    (the one minimizing the resulting potential; the first on ties).
     """
-    n = canon.shape[0]
+    n, dim = canon.shape
     rngs = [np.random.default_rng(s) for s in seeds]
     runs = len(rngs)
     trials = 2 + int(np.log(k)) if k > 1 else 1
-    # Exact rows |x - x_i|^2, computed once per drawn position i, at most
-    # `runs` rows at a time.
+    # Exact rows |x - x_i|^2, computed once per drawn position i; a step
+    # draws at most runs * trials new positions, so each step's new rows are
+    # one pass in `work`.
     slot = np.full(n, -1, dtype=np.int64)
     cache = np.empty((min(n, runs * (1 + (k - 1) * trials)), n))
+    work = np.empty((min(n, runs * trials), n, dim))
     filled = 0
 
     def rows(positions: np.ndarray) -> np.ndarray:
         nonlocal filled
         new = np.unique(positions[slot[positions] < 0])
-        for lo in range(0, len(new), runs):
-            part = new[lo:lo + runs]
-            diff = np.subtract(canon, canon[part, None], out=work[:len(part)])
-            np.square(diff, out=diff)
-            diff.sum(axis=2, out=cache[filled:filled + len(part)])
-            slot[part] = np.arange(filled, filled + len(part))
-            filled += len(part)
+        end = filled + len(new)
+        diff = np.subtract(canon, canon[new, None], out=work[:len(new)])
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=cache[filled:end])
+        slot[new] = np.arange(filled, end)
+        filled = end
         return cache[slot[positions]]
 
     chosen = np.empty((runs, k), dtype=np.int64)  # positions in canonical order
@@ -169,20 +169,21 @@ def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(total > 0.0)
         if len(live):
             cum = np.cumsum(d2[live], axis=1)
-            candidates = np.empty((len(live), trials), dtype=np.int64)
-            for i, r in enumerate(live):
-                us = rngs[r].random(trials) * total[r]
-                candidates[i] = np.searchsorted(cum[i], us, side="right")
+            us = np.array([rngs[r].random(trials) for r in live]) * total[live, None]
+            # The rows of `cum` are non-decreasing, so counting the entries
+            # <= u is searchsorted(side="right") for every draw at once.
+            candidates = np.count_nonzero(cum[:, None, :] <= us[:, :, None], axis=2)
             np.minimum(candidates, n - 1, out=candidates)
             potentials = rows(candidates)
             np.minimum(d2[live, None, :], potentials, out=potentials)
             best = np.argmin(potentials.sum(axis=2), axis=1)
             chosen[live, step] = candidates[np.arange(len(live)), best]
-        for r in np.flatnonzero(~(total > 0.0)):
-            # All remaining mass at zero distance (duplicates): pick uniformly
-            # among positions not yet chosen.
-            remaining = np.setdiff1d(np.arange(n), chosen[r, :step])
-            chosen[r, step] = remaining[rngs[r].integers(len(remaining))]
+        if len(live) < runs:
+            for r in np.flatnonzero(~(total > 0.0)):
+                # All remaining mass at zero distance (duplicates): pick
+                # uniformly among positions not yet chosen.
+                remaining = np.setdiff1d(np.arange(n), chosen[r, :step])
+                chosen[r, step] = remaining[rngs[r].integers(len(remaining))]
         np.minimum(d2, rows(chosen[:, step]), out=d2)
     return canon[chosen]
 
@@ -192,23 +193,26 @@ def kmeanspp_init(points, k: int, seed: int) -> CentroidSet:
     2 + floor(ln k) weighted candidate draws (the one minimizing the resulting
     potential). Deterministic per seed and permutation-equivariant."""
     _, canon = _canonical(points, k)
-    return CentroidSet(_seed(canon, k, [seed], np.empty((1,) + canon.shape))[0])
+    return CentroidSet(_seed(canon, k, [seed])[0])
 
 
-def _group_sums(points: np.ndarray, groups: np.ndarray, count: int, out: np.ndarray):
-    """Per-group coordinate sums and sizes; `groups` labels the rows of
-    `points` tiled, each group's rows are summed in row order, and `out`
-    holds the tiled rows sorted by group."""
+def _means(tiled: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.ndarray):
+    """Each run's cluster means and which clusters have rows; an empty
+    cluster keeps its current centroid. `labels` is (runs, n), `tiled` the
+    canonical rows repeated once per run, and `out` a scratch array of its
+    shape. Each cluster's rows are summed in row order."""
+    runs, k, dim = current.shape
+    groups = (labels + k * np.arange(runs)[:, None]).ravel()
     # The smallest integer type keeps the same stable order and lets numpy
     # radix-sort the keys.
-    grouped = np.argsort(groups.astype(np.min_scalar_type(count)), kind="stable")
-    sorted_groups = groups[grouped]
-    sums = np.zeros((count, points.shape[1]))
-    sizes = np.bincount(groups, minlength=count)
-    starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
-    rows = np.take(points, grouped % len(points), axis=0, out=out, mode="clip")
-    sums[sorted_groups[starts]] = np.add.reduceat(rows, starts, axis=0)
-    return sums, sizes
+    grouped = np.argsort(groups.astype(np.min_scalar_type(runs * k)), kind="stable")
+    sizes = np.bincount(groups, minlength=runs * k)
+    nonempty = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[nonempty]
+    rows = np.take(tiled, grouped, axis=0, out=out[:len(groups)], mode="clip")
+    means = current.reshape(runs * k, dim).copy()
+    means[nonempty] = np.add.reduceat(rows, starts, axis=0) / sizes[nonempty, None]
+    return means.reshape(runs, k, dim), nonempty.reshape(runs, k)
 
 
 def _runs(
@@ -221,23 +225,25 @@ def _runs(
     assignment step plus the final one (an empty list without)."""
     order, canon = _canonical(points, k)
     n, dim = canon.shape
-    # Scratch arrays reused at every step: a fresh array of this size takes
-    # longer to fault in than the arithmetic done on it.
     if init is None:
-        work = np.empty((len(seeds), n, dim))
-        centroids = _seed(canon, k, seeds, work)
+        centroids = _seed(canon, k, seeds)
     else:
         if init.centroids.shape != (k, dim):
             raise ShapeError(
                 f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
             )
-        work = np.empty((1, n, dim))
         centroids = init.centroids[None].copy()
-    scores = np.empty((len(centroids), n, k))
-    histories: list[list[float]] = [[] for _ in centroids]
-    active = np.arange(len(histories))  # runs that have not converged
+    count = len(centroids)
+    # Scratch arrays reused at every step: a fresh array of this size takes
+    # longer to fault in than the arithmetic done on it.
+    tiled = np.tile(canon, (count, 1))
+    work = np.empty((count, n, dim))
+    scores = np.empty((count, n, k))
+    histories: list[list[float]] = [[] for _ in range(count)]
+    # The runs that have not converged, and their centroids; a run that
+    # converges writes its centroids back and leaves the batch.
+    active, current = np.arange(count), centroids
     for _ in range(max_iters):
-        current = centroids[active]
         runs = len(active)
         labels_c = _argmin_labels(canon, current, scores[:runs])
         if history:
@@ -245,32 +251,32 @@ def _runs(
             for r, inertia in zip(active, point_d2.sum(axis=1).tolist()):
                 histories[r].append(inertia)
 
-        groups = (labels_c + k * np.arange(runs)[:, None]).ravel()
-        sums, sizes = _group_sums(canon, groups, runs * k, work[:runs].reshape(runs * n, dim))
-        new_centroids = current.reshape(runs * k, dim).copy()
-        nonempty = sizes > 0
-        new_centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
-        new_centroids = new_centroids.reshape(runs, k, dim)
-        nonempty = nonempty.reshape(runs, k)
-        # Reseed each empty cluster to the point currently farthest from its
-        # assigned centroid; ties break toward canonical order. Only such a
-        # run needs the points' residuals, so only it computes them.
-        for i in np.flatnonzero(~nonempty.all(axis=1)):
-            residual = _assigned_sq_dists(canon, current[i:i + 1], labels_c[i:i + 1], work[:1])[0]
-            for c in np.flatnonzero(~nonempty[i]):
-                far = int(np.argmax(residual))
-                new_centroids[i, c] = canon[far]
-                residual[far] = 0.0
+        new_centroids, nonempty = _means(tiled, labels_c, current, work.reshape(count * n, dim))
+        if not nonempty.all():
+            # Reseed each empty cluster to the point currently farthest from
+            # its assigned centroid; ties break toward canonical order. Only
+            # such a run needs the points' residuals, so only it computes them.
+            for i in np.flatnonzero(~nonempty.all(axis=1)):
+                residual = _assigned_sq_dists(canon, current[i:i + 1], labels_c[i:i + 1], work[:1])[0]
+                for c in np.flatnonzero(~nonempty[i]):
+                    far = int(np.argmax(residual))
+                    new_centroids[i, c] = canon[far]
+                    residual[far] = 0.0
         shift = np.sqrt(np.square(new_centroids - current).sum(axis=2)).max(axis=1)
-        centroids[active] = new_centroids
-        active = active[~(shift < tol)]
-        if not len(active):
-            break
+        done = shift < tol
+        if done.any():
+            centroids[active[done]] = new_centroids[done]
+            active, new_centroids = active[~done], new_centroids[~done]
+            if not len(active):
+                break
+        current = new_centroids
+    else:
+        centroids[active] = current
 
     # Final labeling uses assign_nearest's exact distance path so each
     # returned assignment is a fixed point of it on its centroids; one run at
-    # a time keeps the temporary at n x k x dim.
-    pairs = np.empty((n, k, dim))
+    # a time keeps the temporary at k x n x dim.
+    pairs = np.empty((k, n, dim))
     out = []
     for cents, steps in zip(centroids, histories):
         labels_c, point_d2 = _nearest(canon, cents, pairs)

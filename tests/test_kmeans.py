@@ -364,6 +364,20 @@ class TestKernelBenchmarks:
         cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=1, init=init)
         assert_same_run(cents, assignment, oracle_lloyd_trace(pts, 10, None, init=init.centroids))
 
+    # The federated workloads' shapes: a client holds 200 rows of 32-dim
+    # latents, mined with 10 restarts in the bootstrap and warm afterwards.
+    def test_lloyd_200x32(self, benchmark):
+        pts = np.random.default_rng(200).normal(size=(200, 32))
+        cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=10)
+        assert_same_run(cents, assignment, oracle_lloyd(pts, 10, 0, restarts=10))
+
+    def test_lloyd_200x32_warm(self, benchmark):
+        rng = np.random.default_rng(201)
+        pts = rng.normal(size=(200, 32))
+        init, _ = lloyd(pts + 0.05 * rng.normal(size=pts.shape), 10, 0, restarts=10)
+        cents, assignment = benchmark(lloyd, pts, 10, 0, restarts=1, init=init)
+        assert_same_run(cents, assignment, oracle_lloyd_trace(pts, 10, None, init=init.centroids))
+
     def test_assign_nearest_5000x32(self, benchmark):
         rng = np.random.default_rng(5000)
         pts = rng.normal(size=(5000, 32))
