@@ -194,15 +194,18 @@ def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
 
 
 def aggregate_centroids(updates: list[ClientUpdate], k: int, seed: int,
-                        restarts: int = DEFAULT_RESTARTS) -> CentroidSet:
-    """Fuse uploaded local centroids into k global ones with another k-means."""
+                        restarts: int = DEFAULT_RESTARTS,
+                        init: CentroidSet | None = None) -> CentroidSet:
+    """Fuse uploaded local centroids into k global ones with another k-means:
+    `restarts` seeded restarts, or with `init` one Lloyd run from its k rows
+    (`restarts` must then be 1; see `kmeans.lloyd`)."""
     if not updates:
         raise ProtocolError("cannot aggregate zero centroid uploads")
     ordered = sorted(updates, key=lambda u: u.client_id)
     stacked = np.vstack([u.centroids.centroids for u in ordered])
     if stacked.shape[0] < k:
         raise SizeError(f"only {stacked.shape[0]} uploaded centroids for k={k}")
-    cset, _ = lloyd(stacked, k, seed, restarts=restarts)
+    cset, _ = lloyd(stacked, k, seed, restarts=restarts, init=init)
     return cset
 
 
@@ -212,19 +215,29 @@ def _mine(config: RunConfig, points: np.ndarray, *stream: int,
     2103.00697): k centroids of one client's `points`. With `init`, one Lloyd
     run from those centroids; otherwise `config.kmeans_restarts` seeded
     restarts, drawing from the stream (config.seed, *stream)."""
-    cset, _ = lloyd(
-        points, config.k, _stream_seed(config.seed, *stream),
-        restarts=config.kmeans_restarts if init is None else 1, init=init,
-    )
+    cset, _ = lloyd(points, config.k, _stream_seed(config.seed, *stream),
+                    restarts=config.kmeans_restarts if init is None else 1, init=init)
     return cset
 
 
-def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int) -> CentroidSet:
-    """The server side: fuse the uploaded centroids into k global ones with
-    `config.kmeans_restarts` seeded restarts from the stream (config.seed, *stream)."""
-    return aggregate_centroids(
-        updates, config.k, _stream_seed(config.seed, *stream), restarts=config.kmeans_restarts
-    )
+def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int,
+          init: CentroidSet | None = None) -> CentroidSet:
+    """The server side: fuse the uploaded centroids into k global ones, with
+    one Lloyd run from `init`, or otherwise with `config.kmeans_restarts`
+    seeded restarts from the stream (config.seed, *stream)."""
+    return aggregate_centroids(updates, config.k, _stream_seed(config.seed, *stream),
+                               restarts=config.kmeans_restarts if init is None else 1,
+                               init=init)
+
+
+def _round_start(model: SiameseModel, targets: CentroidSet | None,
+                 raw_space: bool) -> CentroidSet | None:
+    """The centroids a round's k-means starts from: the targets the round
+    groups against, in the latent space of `model` as the round begins. Raw
+    targets are encoded by `model`; None when the round has no targets."""
+    if targets is None or not raw_space:
+        return targets
+    return CentroidSet(diffnet.forward_encoder(model, targets.centroids))
 
 
 def _kfed_uploads(config: RunConfig, clients) -> list[ClientUpdate]:
@@ -268,9 +281,11 @@ def local_round(
     with Adam; on the cluster-contrastive path each step centres the latent
     targets on the mean latent of the step's batch rows, taken from the
     step's own forward pass. Mining (`_mine`) runs k-means on the trained
-    encoder's latents: in a latent round with targets, one Lloyd run from
-    `global_centroids`, which live in the same space; otherwise (a raw-space
-    round, or no targets yet) seeded restarts.
+    encoder's latents as one Lloyd run from the targets in the latent space
+    of `client.model` as the round starts (`_round_start`): `global_centroids`
+    themselves in a latent round, or in a raw-space round their encoding by
+    that model, taken before training changes `client.model` in place. Only
+    a round without targets (SCFC's first) mines with seeded restarts.
 
     The regularized variants encode and predict every local row with the
     frozen `global_snapshot` once, as the round starts. A step reads its rows'
@@ -293,6 +308,7 @@ def local_round(
         global_z = diffnet.forward_encoder(global_snapshot, features)
         global_p = diffnet.forward_predictor(global_snapshot, global_z)
 
+    start = _round_start(client.model, global_centroids, raw_space)
     reports: list[LossReport] = []
     if config.cluster_contrastive:
         space = features if raw_space else global_z
@@ -351,8 +367,7 @@ def local_round(
 
     centroids = _mine(
         config, diffnet.forward_encoder(client.model, features),
-        _S_LOCAL_KM, round_index, client.client_id,
-        init=None if raw_space else global_centroids,
+        _S_LOCAL_KM, round_index, client.client_id, init=start,
     )
     return client.model, centroids, reports
 
@@ -453,12 +468,16 @@ def run(
     refine them in the latent space.
 
     Every k-means of the protocol is a client's `_mine` or the server's
-    `_fuse`. Both run `kmeans_restarts` seeded restarts in the bootstrap, in
-    the raw-space rounds' mining, in SCFC's first round (which has no
-    centroids yet), in every server fusion and in KFED. Every other round's
-    mining (cluster-contrastive rounds after R, SCFC rounds after the first)
-    is one Lloyd run from the latent centroids the client was given: the
-    broadcast global centroids, or a standalone client's own previous ones.
+    `_fuse`. Both run `kmeans_restarts` seeded restarts only where there are
+    no centroids to start from: the k-FED bootstrap (and KFED, which is that
+    bootstrap alone), the zero-round bootstrap (with a standalone run's
+    disconnected clients, which never train) and SCFC's first round. Every
+    other k-means, each client's mining and the server's fusion alike, is
+    one Lloyd run from the centroids the round grouped against, in the
+    latent space of the model held as the round began (`_round_start`): the
+    broadcast global centroids (a standalone client: its own previous
+    ones), or in a raw-space round the k-FED targets encoded by that model,
+    which are also the round's latent prototypes of the raw groups.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation, or the bootstrap's in a
@@ -503,14 +522,14 @@ def run(
     # latent clustering instead; sample-contrastive local rounds read no
     # targets, and round 1 replaces the centroids before any evaluation.
     raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
-    raw_targets: dict[int, CentroidSet] = {}
+    raw_targets: dict[int, CentroidSet] = {}  # a standalone client's own k-FED centroids
+    raw_fused = None  # the server's fused k-FED centroids
     if raw_rounds:
         raw_updates = _kfed_uploads(config, [(c.client_id, c.features) for c in connected])
         if config.standalone:
             raw_targets = {u.client_id: u.centroids for u in raw_updates}
         else:
-            fused = _fuse(config, raw_updates, _S_KFED, m)
-            raw_targets = {u.client_id: fused for u in raw_updates}
+            raw_fused = _fuse(config, raw_updates, _S_KFED, m)
     elif config.rounds == 0:
         for client in connected:
             latents = diffnet.forward_encoder(client.model, client.features)
@@ -528,15 +547,19 @@ def run(
     records: list[RoundRecord] = []
     evaluation = None
     for round_index in range(1, config.rounds + 1):
+        raw_space = round_index <= raw_rounds
         if not config.standalone:
             disseminate(server, clients)
+            # Every connected client groups against the broadcast targets, and
+            # the fusion starts from them in the broadcast model's space.
+            broadcast = raw_fused if raw_space else server.global_centroids
+            start = _round_start(server.global_model, broadcast, raw_space)
         round_reports: list[LossReport] = []
-        raw_space = round_index <= raw_rounds
         for client in connected:
-            if raw_space:
-                targets = raw_targets[client.client_id]
+            if not config.standalone:
+                targets = broadcast
             else:
-                targets = client.centroids if config.standalone else server.global_centroids
+                targets = raw_targets[client.client_id] if raw_space else client.centroids
             model, centroids, reports = local_round(
                 client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
@@ -545,7 +568,7 @@ def run(
         if not config.standalone:
             updates = _uploads(connected)
             server.global_model = aggregate_models(updates)
-            server.global_centroids = _fuse(config, updates, _S_FUSE, round_index)
+            server.global_centroids = _fuse(config, updates, _S_FUSE, round_index, init=start)
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

@@ -15,7 +15,11 @@ the returned assignment is a fixed point of `assign_nearest` on the returned
 centroids.
 
 A run from `init` takes the same loop, empty-cluster reseed, stop rule and
-final labeling, so it keeps the equivariance and the fixed point.
+final labeling, so it keeps the equivariance and the fixed point. In the
+federated protocol every k-means after the bootstrap is such a single run,
+so the loop does no per-step work for the batch beyond what one run needs:
+the unconverged runs' centroids are one array, and a run that converges
+writes its centroids back and leaves it.
 """
 
 from __future__ import annotations

@@ -266,16 +266,41 @@ class TestLocalRound:
         )
         np.testing.assert_array_equal(mined.centroids, expected.centroids)
 
-    @pytest.mark.parametrize("algorithm, raw_space", [("CCFC", True), ("SCFC", False)])
-    def test_raw_round_and_round_without_targets_mine_seeded(self, algorithm, raw_space):
+    @pytest.mark.parametrize("algorithm", ["CCFC", "CCFC_noreg", "CCFC_standalone"])
+    def test_raw_round_mines_from_the_encoded_targets(self, algorithm, monkeypatch):
         ds, split = blob_fixture()
-        config = small_config(algorithm=algorithm, local_epochs=0)
+        config = small_config(algorithm=algorithm, local_epochs=2)
         model, clients = make_clients(ds, split, config)
         client = clients[1]
-        # Raw-space targets have the features' dim; a round without targets gets None.
-        targets = lloyd(client.features, config.k, seed=4, restarts=2)[0] if raw_space else None
-        _, mined, _ = local_round(client, model, targets, config, round_index=2,
-                                  raw_space=raw_space)
+        # Raw-space targets have the features' dim.
+        targets, _ = lloyd(client.features, config.k, seed=4, restarts=2)
+        start = diffnet.forward_encoder(client.model, targets.centroids)
+        inits = []
+        inner = federation.lloyd
+
+        def spy(*args, **kwargs):
+            inits.append((kwargs["init"], kwargs["restarts"]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "lloyd", spy)
+        trained, mined, _ = local_round(client, model, targets, config, round_index=2,
+                                        raw_space=True)
+        # Mining starts from the targets as the round-start model encodes
+        # them, not as the trained model does.
+        ((init, restarts),) = inits
+        assert restarts == 1
+        assert init.centroids.tobytes() == start.tobytes()
+        assert diffnet.forward_encoder(trained, targets.centroids).tobytes() != start.tobytes()
+        expected, _ = inner(diffnet.forward_encoder(trained, client.features), config.k, 0,
+                            restarts=1, init=CentroidSet(start))
+        np.testing.assert_array_equal(mined.centroids, expected.centroids)
+
+    def test_round_without_targets_mines_seeded(self):
+        ds, split = blob_fixture()
+        config = small_config(algorithm="SCFC", local_epochs=0)
+        model, clients = make_clients(ds, split, config)
+        client = clients[1]
+        _, mined, _ = local_round(client, model, None, config, round_index=2)
         expected, _ = lloyd(
             diffnet.forward_encoder(model, client.features), config.k,
             federation._stream_seed(config.seed, federation._S_LOCAL_KM, 2, client.client_id),
@@ -401,7 +426,8 @@ class TestRoundCache:
 
 
 class TestMiningSchedule:
-    """Which `lloyd` call each client-round mines with, over a whole run."""
+    """Which `lloyd` call each client-round mines with and each server
+    fusion fuses with, over a whole run."""
 
     @pytest.mark.parametrize(
         "algorithm", ["CCFC", "CCFC_standalone", "SCFC", "SCFC_standalone"]
@@ -411,7 +437,8 @@ class TestMiningSchedule:
         config = small_config(algorithm=algorithm, rounds=5)
         cluster_contrastive = algorithm.startswith("CCFC")
         raw_rounds = federation._raw_grouping_rounds(config.rounds) if cluster_contrastive else 0
-        calls = []  # (client, round, targets, raw_space, mined, its lloyd kwargs)
+        # (client, round, targets, raw_space, round-start model, mined, its lloyd kwargs)
+        calls = []
         mining = []  # the lloyd kwargs of the local round in progress
         inner_lloyd, inner_round = federation.lloyd, federation.local_round
 
@@ -422,8 +449,10 @@ class TestMiningSchedule:
 
         def round_spy(client, snapshot, targets, cfg, round_index, raw_space=False):
             mining.append([])
+            start_model = client.model.copy()
             out = inner_round(client, snapshot, targets, cfg, round_index, raw_space=raw_space)
-            calls.append((client.client_id, round_index, targets, raw_space, out[1], mining.pop()))
+            calls.append((client.client_id, round_index, targets, raw_space, start_model,
+                          out[1], mining.pop()))
             return out
 
         monkeypatch.setattr(federation, "lloyd", lloyd_spy)
@@ -432,18 +461,90 @@ class TestMiningSchedule:
 
         previous = {}
         assert len(calls) == config.rounds * split.num_clients
-        for client_id, round_index, targets, raw_space, mined, (mine_kwargs,) in calls:
+        for client_id, round_index, targets, raw_space, start_model, mined, (mine_kwargs,) in calls:
             assert raw_space == (round_index <= raw_rounds)
-            if raw_space or (round_index == 1 and not cluster_contrastive):
+            if round_index == 1 and not cluster_contrastive:
+                # SCFC's first round has no centroids to start from.
+                assert targets is None
                 assert mine_kwargs["init"] is None
                 assert mine_kwargs["restarts"] == config.kmeans_restarts
+                previous[client_id] = mined
+                continue
+            assert mine_kwargs["restarts"] == 1
+            if raw_space:
+                # A raw round starts from exactly its raw-space targets as
+                # the model held at the round's start encodes them.
+                start = diffnet.forward_encoder(start_model, targets.centroids)
+                assert mine_kwargs["init"].centroids.tobytes() == start.tobytes()
             else:
                 assert mine_kwargs["init"] is targets
-                assert mine_kwargs["restarts"] == 1
                 if algorithm.endswith("_standalone"):
                     # A standalone client starts from its own previous centroids.
                     assert targets is previous[client_id]
             previous[client_id] = mined
+
+    @pytest.mark.parametrize("algorithm, rounds", [
+        ("CCFC", 5), ("CCFC_noreg", 5), ("SCFC", 3), ("SCFC_noreg", 3), ("KFED", 3),
+        ("CCFC", 0), ("SCFC", 0),
+    ])
+    def test_fusion_starts_from_the_broadcast(self, algorithm, rounds, monkeypatch):
+        ds, split = blob_fixture(m=4)
+        config = small_config(algorithm=algorithm, rounds=rounds, disconnection_rate=0.25)
+        raw_rounds = (federation._raw_grouping_rounds(rounds)
+                      if algorithm.startswith("CCFC") else 0)
+        broadcasts = []  # per round: (global model, global centroids, the clients' targets)
+        fusions = []  # per fusion: (rounds broadcast so far, its lloyd kwargs)
+        inner_fuse, inner_lloyd = federation.aggregate_centroids, federation.lloyd
+        inner_round, inner_disseminate = federation.local_round, federation.disseminate
+        fusing = []
+
+        def disseminate_spy(server, clients):
+            broadcasts.append([server.global_model.copy(), server.global_centroids, []])
+            return inner_disseminate(server, clients)
+
+        def round_spy(client, snapshot, targets, cfg, round_index, raw_space=False):
+            broadcasts[-1][2].append(targets)
+            return inner_round(client, snapshot, targets, cfg, round_index, raw_space=raw_space)
+
+        def fuse_spy(*args, **kwargs):
+            fusing.append(True)
+            try:
+                return inner_fuse(*args, **kwargs)
+            finally:
+                fusing.pop()
+
+        def lloyd_spy(*args, **kwargs):
+            if fusing:
+                fusions.append((len(broadcasts), kwargs))
+            return inner_lloyd(*args, **kwargs)
+
+        for name, spy in (("disseminate", disseminate_spy), ("local_round", round_spy),
+                          ("aggregate_centroids", fuse_spy), ("lloyd", lloyd_spy)):
+            monkeypatch.setattr(federation, name, spy)
+        run(config, ds, split)
+
+        # Fusion is seeded only where nothing was broadcast yet: the k-FED
+        # bootstrap, the zero-round bootstrap, KFED and SCFC's first round.
+        seeded = [(r, kw) for r, kw in fusions if kw["init"] is None]
+        assert all(kw["restarts"] == config.kmeans_restarts for _, kw in seeded)
+        bootstrap = algorithm.startswith("CCFC") or algorithm == "KFED" or rounds == 0
+        first_scfc = algorithm.startswith("SCFC") and rounds > 0
+        assert [r for r, _ in seeded] == [0] * bootstrap + [1] * first_scfc
+        # Every other fusion, one per round KFED does not run, starts warm.
+        warm = [(r, kw) for r, kw in fusions if kw["init"] is not None]
+        last = 0 if algorithm == "KFED" else rounds
+        assert [r for r, _ in warm] == list(range(1 + first_scfc, last + 1))
+        assert len(broadcasts) == last
+        for round_index, kwargs in warm:
+            model, centroids, targets = broadcasts[round_index - 1]
+            assert kwargs["restarts"] == 1
+            assert all(t is targets[0] for t in targets)
+            if round_index <= raw_rounds:
+                # The raw-space targets, encoded by the broadcast model.
+                start = diffnet.forward_encoder(model, targets[0].centroids)
+                assert kwargs["init"].centroids.tobytes() == start.tobytes()
+            else:
+                assert kwargs["init"] is centroids is targets[0]
 
 
 class TestRun:
