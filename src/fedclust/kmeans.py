@@ -136,33 +136,33 @@ def _canonical(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.ascontiguousarray(points[order])
 
 
-def _seed(canon: np.ndarray, k: int, seeds) -> np.ndarray:
+def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
     """Greedy D^2-weighted seeding, one run per seed, as a (runs, k, dim) array.
 
     Each new centroid is the best of 2 + floor(ln k) weighted candidate draws
-    (the one minimizing the resulting potential; the first on ties).
+    (the one minimizing the resulting potential; the first on ties). `work`
+    is a (runs, n, dim) scratch array.
     """
-    n, dim = canon.shape
+    n = canon.shape[0]
     rngs = [np.random.default_rng(s) for s in seeds]
     runs = len(rngs)
     trials = 2 + int(np.log(k)) if k > 1 else 1
-    # Exact rows |x - x_i|^2, computed once per drawn position i; a step
-    # draws at most runs * trials new positions, so each step's new rows are
-    # one pass in `work`.
+    # Exact rows |x - x_i|^2, computed once per drawn position i, at most
+    # `runs` rows at a time: a larger pass falls out of cache and runs slower.
     slot = np.full(n, -1, dtype=np.int64)
     cache = np.empty((min(n, runs * (1 + (k - 1) * trials)), n))
-    work = np.empty((min(n, runs * trials), n, dim))
     filled = 0
 
     def rows(positions: np.ndarray) -> np.ndarray:
         nonlocal filled
         new = np.unique(positions[slot[positions] < 0])
-        end = filled + len(new)
-        diff = np.subtract(canon, canon[new, None], out=work[:len(new)])
-        np.square(diff, out=diff)
-        diff.sum(axis=2, out=cache[filled:end])
-        slot[new] = np.arange(filled, end)
-        filled = end
+        for lo in range(0, len(new), runs):
+            part = new[lo:lo + runs]
+            diff = np.subtract(canon, canon[part, None], out=work[:len(part)])
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=cache[filled:filled + len(part)])
+            slot[part] = np.arange(filled, filled + len(part))
+            filled += len(part)
         return cache[slot[positions]]
 
     chosen = np.empty((runs, k), dtype=np.int64)  # positions in canonical order
@@ -197,7 +197,7 @@ def kmeanspp_init(points, k: int, seed: int) -> CentroidSet:
     2 + floor(ln k) weighted candidate draws (the one minimizing the resulting
     potential). Deterministic per seed and permutation-equivariant."""
     _, canon = _canonical(points, k)
-    return CentroidSet(_seed(canon, k, [seed])[0])
+    return CentroidSet(_seed(canon, k, [seed], np.empty((1,) + canon.shape))[0])
 
 
 def _means(tiled: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.ndarray):
@@ -229,19 +229,20 @@ def _runs(
     assignment step plus the final one (an empty list without)."""
     order, canon = _canonical(points, k)
     n, dim = canon.shape
+    # Scratch arrays reused at every step: a fresh array of this size takes
+    # longer to fault in than the arithmetic done on it.
     if init is None:
-        centroids = _seed(canon, k, seeds)
+        work = np.empty((len(seeds), n, dim))
+        centroids = _seed(canon, k, seeds, work)
     else:
         if init.centroids.shape != (k, dim):
             raise ShapeError(
                 f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
             )
+        work = np.empty((1, n, dim))
         centroids = init.centroids[None].copy()
     count = len(centroids)
-    # Scratch arrays reused at every step: a fresh array of this size takes
-    # longer to fault in than the arithmetic done on it.
     tiled = np.tile(canon, (count, 1))
-    work = np.empty((count, n, dim))
     scores = np.empty((count, n, k))
     histories: list[list[float]] = [[] for _ in range(count)]
     # The runs that have not converged, and their centroids; a run that
