@@ -20,8 +20,8 @@ from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
 from .diffnet import MlpSpec, SiameseModel
-from .errors import ConfigError, MetricError, ProtocolError, SizeError
-from .kmeans import DEFAULT_RESTARTS, Assignment, CentroidSet, assign_nearest, lloyd
+from .errors import ConfigError, MetricError, ProtocolError
+from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
 
 ALGORITHMS = (
     "CCFC",
@@ -193,41 +193,26 @@ def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
     return merged
 
 
-def aggregate_centroids(updates: list[ClientUpdate], k: int, seed: int,
-                        restarts: int = DEFAULT_RESTARTS,
-                        init: CentroidSet | None = None) -> CentroidSet:
-    """Fuse uploaded local centroids into k global ones with another k-means:
-    `restarts` seeded restarts, or with `init` one Lloyd run from its k rows
-    (`restarts` must then be 1; see `kmeans.lloyd`)."""
-    if not updates:
-        raise ProtocolError("cannot aggregate zero centroid uploads")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    stacked = np.vstack([u.centroids.centroids for u in ordered])
-    if stacked.shape[0] < k:
-        raise SizeError(f"only {stacked.shape[0]} uploaded centroids for k={k}")
-    cset, _ = lloyd(stacked, k, seed, restarts=restarts, init=init)
-    return cset
-
-
 def _mine(config: RunConfig, points: np.ndarray, *stream: int,
           init: CentroidSet | None = None) -> CentroidSet:
-    """The client side of the protocol's two-level k-means (k-FED, arXiv
-    2103.00697): k centroids of one client's `points`. With `init`, one Lloyd
-    run from those centroids; otherwise `config.kmeans_restarts` seeded
+    """The protocol's one k-means (both levels of k-FED, arXiv 2103.00697): k
+    centroids of a client's rows or of the server's stacked uploads. With
+    `init`, one Lloyd run from it; otherwise `config.kmeans_restarts` seeded
     restarts, drawing from the stream (config.seed, *stream)."""
     cset, _ = lloyd(points, config.k, _stream_seed(config.seed, *stream),
                     restarts=config.kmeans_restarts if init is None else 1, init=init)
     return cset
 
 
-def _fuse(config: RunConfig, updates: list[ClientUpdate], *stream: int,
-          init: CentroidSet | None = None) -> CentroidSet:
-    """The server side: fuse the uploaded centroids into k global ones, with
-    one Lloyd run from `init`, or otherwise with `config.kmeans_restarts`
-    seeded restarts from the stream (config.seed, *stream)."""
-    return aggregate_centroids(updates, config.k, _stream_seed(config.seed, *stream),
-                               restarts=config.kmeans_restarts if init is None else 1,
-                               init=init)
+def aggregate_centroids(updates: list[ClientUpdate], config: RunConfig, *stream: int,
+                        init: CentroidSet | None = None) -> CentroidSet:
+    """The server side: fuse the uploaded local centroids, stacked in client
+    order, into k global ones with `_mine` (one Lloyd run from `init`, or
+    seeded restarts from the stream (config.seed, *stream))."""
+    if not updates:
+        raise ProtocolError("cannot aggregate zero centroid uploads")
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    return _mine(config, np.vstack([u.centroids.centroids for u in ordered]), *stream, init=init)
 
 
 def _round_start(model: SiameseModel, targets: CentroidSet | None,
@@ -238,12 +223,6 @@ def _round_start(model: SiameseModel, targets: CentroidSet | None,
     if targets is None or not raw_space:
         return targets
     return CentroidSet(diffnet.forward_encoder(model, targets.centroids))
-
-
-def _kfed_uploads(config: RunConfig, clients) -> list[ClientUpdate]:
-    """k-FED's client side: each (client_id, features) pair's upload, the
-    seeded k-means centroids of its raw features and no model."""
-    return [ClientUpdate(l, len(x), None, _mine(config, x, _S_KFED, l)) for l, x in clients]
 
 
 def _uploads(clients: list[ClientState]) -> list[ClientUpdate]:
@@ -467,9 +446,10 @@ def run(
     the encoder first learns the raw groups, and most of the run is left to
     refine them in the latent space.
 
-    Every k-means of the protocol is a client's `_mine` or the server's
-    `_fuse`. Both run `kmeans_restarts` seeded restarts only where there are
-    no centroids to start from: the k-FED bootstrap (and KFED, which is that
+    Every k-means of the protocol is `_mine`: a client's mining, and the
+    server's fusion in `aggregate_centroids` of the uploads stacked in client
+    order. It runs `kmeans_restarts` seeded restarts only where there are no
+    centroids to start from: the k-FED bootstrap (and KFED, which is that
     bootstrap alone), the zero-round bootstrap (with a standalone run's
     disconnected clients, which never train) and SCFC's first round. Every
     other k-means, each client's mining and the server's fusion alike, is
@@ -484,6 +464,10 @@ def run(
     zero-round run.
     """
     config.validate()
+    # Fail before training, not at the first evaluation, when kappa cannot score the run.
+    clusters = max(config.k, dataset.num_classes) if dataset.labels is not None else 0
+    if clusters > metrics.KAPPA_MAX_CLUSTERS:
+        raise ConfigError(f"kappa supports at most {metrics.KAPPA_MAX_CLUSTERS} clusters, got {clusters}")
     m = split.num_clients
     if m < 1:
         raise ConfigError("split has no clients")
@@ -491,16 +475,26 @@ def run(
         m, config.disconnection_rate, _stream_seed(config.seed, _S_CONN)
     )
 
+    # k-FED, KFED whole and a raw-grouping run's round-1 targets: each connected
+    # client uploads the k-means of its raw features and no model, and the
+    # server fuses them (a standalone client keeps its own).
+    raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
+    raw_updates, raw_fused = [], None
+    if config.algorithm == "KFED" or raw_rounds:
+        raw_updates = [ClientUpdate(l, len(x), None, _mine(config, x, _S_KFED, l))
+                       for l, x in ((l, dataset.features[split.client_indices[l]])
+                                    for l in range(m) if l not in disconnected)]
+        if not config.standalone:
+            raw_fused = aggregate_centroids(raw_updates, config, _S_KFED, m)
     if config.algorithm == "KFED":
-        uploads = _kfed_uploads(config, [(l, dataset.features[split.client_indices[l]])
-                                         for l in range(m) if l not in disconnected])
-        assignment = assign_nearest(dataset.features, _fuse(config, uploads, _S_KFED, m))
+        assignment = assign_nearest(dataset.features, raw_fused)
         nmi_v = kappa_v = None
         if dataset.labels is not None:
             nmi_v = metrics.nmi(assignment.labels, dataset.labels)
             kappa_v = metrics.kappa(assignment.labels, dataset.labels)
         final = RoundRecord(0, None, None, None, nmi_v, kappa_v, None)
         return RunResult([], assignment, final)
+    raw_targets = {u.client_id: u.centroids for u in raw_updates}
 
     enc_spec = MlpSpec((dataset.dim, *config.encoder_hidden, config.latent_dim))
     pred_spec = MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim))
@@ -518,24 +512,15 @@ def run(
     ]
     connected = [c for c in clients if c.connected]
 
-    # Round-1 grouping targets. A zero-round run reports the initial model's
-    # latent clustering instead; sample-contrastive local rounds read no
-    # targets, and round 1 replaces the centroids before any evaluation.
-    raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
-    raw_targets: dict[int, CentroidSet] = {}  # a standalone client's own k-FED centroids
-    raw_fused = None  # the server's fused k-FED centroids
-    if raw_rounds:
-        raw_updates = _kfed_uploads(config, [(c.client_id, c.features) for c in connected])
-        if config.standalone:
-            raw_targets = {u.client_id: u.centroids for u in raw_updates}
-        else:
-            raw_fused = _fuse(config, raw_updates, _S_KFED, m)
-    elif config.rounds == 0:
+    # A zero-round run reports the initial model's latent clustering. Other
+    # sample-contrastive runs start without centroids: their local rounds
+    # read no targets, and round 1 replaces the centroids before evaluation.
+    if config.rounds == 0:
         for client in connected:
             latents = diffnet.forward_encoder(client.model, client.features)
             client.centroids = _mine(config, latents, _S_BOOT_KM, client.client_id)
         if not config.standalone:
-            server.global_centroids = _fuse(config, _uploads(connected), _S_BOOT_FUSE)
+            server.global_centroids = aggregate_centroids(_uploads(connected), config, _S_BOOT_FUSE)
     if config.standalone:
         # Disconnected clients never train, so their rows are labeled by
         # k-means on their initial model's latents, mined once here.
@@ -568,7 +553,9 @@ def run(
         if not config.standalone:
             updates = _uploads(connected)
             server.global_model = aggregate_models(updates)
-            server.global_centroids = _fuse(config, updates, _S_FUSE, round_index, init=start)
+            server.global_centroids = aggregate_centroids(
+                updates, config, _S_FUSE, round_index, init=start
+            )
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

@@ -20,6 +20,9 @@ federated protocol every k-means after the bootstrap is such a single run,
 so the loop does no per-step work for the batch beyond what one run needs:
 the unconverged runs' centroids are one array, and a run that converges
 writes its centroids back and leaves it.
+
+Every exact squared distance is one expression, `_sq_dists`; only the Lloyd
+loop ranks its centroids by a BLAS expansion.
 """
 
 from __future__ import annotations
@@ -69,36 +72,31 @@ class Assignment:
             raise NumericError("inertia must be finite")
 
 
+def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
+    """Exact (k, n) squared distances: differences (in `out`, k x n x dim), then einsum."""
+    diff = np.subtract(points, centroids[:, None, :], out=out)
+    return np.einsum("knd,knd->kn", diff, diff)
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-centroid labels (ties go to the lowest index) and each
-    point's squared distance to it, from one k x n x dim pass in `out`."""
-    diff = np.subtract(points, centroids[:, None, :], out=out)
-    d2 = np.einsum("knd,knd->kn", diff, diff)
+    point's squared distance to it."""
+    d2 = _sq_dists(points, centroids, out)
     labels = np.argmin(d2, axis=0)
     return labels, d2[labels, np.arange(len(labels))]
 
 
-# The assignment loop ranks centroids by a BLAS expansion of |x-c|^2 (the
-# per-point |x|^2 term is dropped). Its labels may differ from the exact
-# differences on distance ties, so a per-point squared distance (a reseed's
-# residuals, the trace's inertia history) is always recomputed from the
-# differences for the assigned centroid only. Both take the centroids of
-# several runs stacked as (runs, k, dim), return (runs, n) and work in `out`,
-# a (runs, n, k) or (runs, n, dim) array.
+# The Lloyd loop ranks centroids by a BLAS expansion of |x-c|^2 (the
+# per-point |x|^2 term is dropped), which may differ from the exact
+# `_sq_dists` on ties; a per-point squared distance in the loop (a reseed's
+# residuals, the trace's inertia history) is read from the exact matrix at
+# the ranked label. The ranking takes several runs' centroids stacked as
+# (runs, k, dim), returns (runs, n) and works in `out`, a (runs, n, k) array.
 def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
     d2 = np.matmul(points, centroids.transpose(0, 2, 1), out=out)
     np.multiply(d2, 2.0, out=d2)
     np.subtract(np.square(centroids).sum(axis=2)[:, None, :], d2, out=d2)
     return np.argmin(d2, axis=2)
-
-
-def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    k, dim = centroids.shape[1:]
-    flat = labels + k * np.arange(len(centroids))[:, None]
-    # The indices are in range; mode="clip" only spares `take` a buffered copy.
-    diff = np.take(centroids.reshape(-1, dim), flat, axis=0, out=out, mode="clip")
-    np.subtract(points, diff, out=diff)
-    return np.einsum("rnd,rnd->rn", diff, diff)
 
 
 def assign_nearest(points, centroids: CentroidSet) -> Assignment:
@@ -158,9 +156,7 @@ def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
         new = np.unique(positions[slot[positions] < 0])
         for lo in range(0, len(new), runs):
             part = new[lo:lo + runs]
-            diff = np.subtract(canon, canon[part, None], out=work[:len(part)])
-            np.square(diff, out=diff)
-            diff.sum(axis=2, out=cache[filled:filled + len(part)])
+            cache[filled:filled + len(part)] = _sq_dists(canon, canon[part], work[:len(part)])
             slot[part] = np.arange(filled, filled + len(part))
             filled += len(part)
         return cache[slot[positions]]
@@ -244,6 +240,7 @@ def _runs(
     count = len(centroids)
     tiled = np.tile(canon, (count, 1))
     scores = np.empty((count, n, k))
+    rows = np.arange(n)
     histories: list[list[float]] = [[] for _ in range(count)]
     # The runs that have not converged, and their centroids; a run that
     # converges writes its centroids back and leaves the batch.
@@ -252,9 +249,8 @@ def _runs(
         runs = len(active)
         labels_c = _argmin_labels(canon, current, scores[:runs])
         if history:
-            point_d2 = _assigned_sq_dists(canon, current, labels_c, work[:runs])
-            for r, inertia in zip(active, point_d2.sum(axis=1).tolist()):
-                histories[r].append(inertia)
+            for r, cents, labels_r in zip(active, current, labels_c):
+                histories[r].append(float(_sq_dists(canon, cents)[labels_r, rows].sum()))
 
         new_centroids, nonempty = _means(tiled, labels_c, current, work.reshape(count * n, dim))
         if not nonempty.all():
@@ -262,7 +258,7 @@ def _runs(
             # its assigned centroid; ties break toward canonical order. Only
             # such a run needs the points' residuals, so only it computes them.
             for i in np.flatnonzero(~nonempty.all(axis=1)):
-                residual = _assigned_sq_dists(canon, current[i:i + 1], labels_c[i:i + 1], work[:1])[0]
+                residual = _sq_dists(canon, current[i])[labels_c[i], rows]
                 for c in np.flatnonzero(~nonempty[i]):
                     far = int(np.argmax(residual))
                     new_centroids[i, c] = canon[far]

@@ -360,6 +360,15 @@ class TestCli:
         cfg_path.write_text(json.dumps({"run": {"lambda": -1}}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_kappa_limit_exit_code(self, tmp_path, capsys):
+        # 66 classes, so k = 66: kappa cannot score the run, which is refused
+        # as a config error before any training.
+        dataset = {**SMALL["dataset"], "components": 66, "per_component": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": dataset, "run": SMALL["run"]}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "kappa supports at most 64 clusters, got 66" in capsys.readouterr().err
+
     def test_output_key_rejected(self, tmp_path):
         # The output directory is the required --out flag, never a config key.
         cfg_path = tmp_path / "cfg.json"

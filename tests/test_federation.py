@@ -184,9 +184,7 @@ class TestAggregateCentroids:
     def test_single_client_passthrough(self):
         rng = np.random.default_rng(1)
         cents = CentroidSet(rng.normal(size=(3, 2)))
-        fused = aggregate_centroids(
-            [ClientUpdate(0, 10, None, cents)], k=3, seed=0
-        )
+        fused = aggregate_centroids([ClientUpdate(0, 10, None, cents)], small_config(k=3))
         got = {tuple(np.round(c, 9)) for c in fused.centroids}
         want = {tuple(np.round(c, 9)) for c in cents.centroids}
         assert got == want
@@ -194,7 +192,7 @@ class TestAggregateCentroids:
     def test_identical_uploads_fuse_to_same_set(self):
         cents = CentroidSet(np.array([[0.0, 0.0], [10.0, 10.0]]))
         updates = [ClientUpdate(i, 5, None, cents) for i in range(2)]
-        fused = aggregate_centroids(updates, k=2, seed=0)
+        fused = aggregate_centroids(updates, small_config(k=2))
         got = {tuple(c) for c in fused.centroids}
         assert got == {(0.0, 0.0), (10.0, 10.0)}
 
@@ -204,7 +202,7 @@ class TestAggregateCentroids:
         rng = np.random.default_rng(2)
         uploads = [CentroidSet(rng.normal(size=(2, 2))) for _ in range(3)]
         updates = [ClientUpdate(i, 5, None, c) for i, c in enumerate(uploads)]
-        fused = aggregate_centroids(updates, k=2, seed=0, restarts=20)
+        fused = aggregate_centroids(updates, small_config(k=2, kmeans_restarts=20))
         stacked = np.vstack([c.centroids for c in uploads])
         inertia = assign_nearest(stacked, fused).inertia
 
@@ -223,7 +221,24 @@ class TestAggregateCentroids:
     def test_too_few_uploads(self):
         cents = CentroidSet(np.zeros((2, 3)))
         with pytest.raises(SizeError):
-            aggregate_centroids([ClientUpdate(0, 1, None, cents)], k=5, seed=0)
+            aggregate_centroids([ClientUpdate(0, 1, None, cents)], small_config(k=5))
+
+    def test_fuses_the_uploads_in_client_order(self):
+        # The result is `lloyd` on the uploads stacked in client order, with
+        # the stream's seed, whatever order the uploads arrive in: seeded
+        # restarts without `init`, one Lloyd run from it with.
+        rng = np.random.default_rng(3)
+        uploads = [CentroidSet(rng.normal(size=(3, 2))) for _ in range(4)]
+        updates = [ClientUpdate(i, 5, None, c) for i, c in enumerate(uploads)]
+        stacked = np.vstack([c.centroids for c in uploads])
+        config = small_config(k=3)
+        seed = federation._stream_seed(config.seed, federation._S_FUSE, 2)
+        start = CentroidSet(rng.normal(size=(3, 2)))
+        for init, restarts in ((None, config.kmeans_restarts), (start, 1)):
+            want, _ = lloyd(stacked, 3, seed, restarts=restarts, init=init)
+            got = [aggregate_centroids(order, config, federation._S_FUSE, 2, init=init)
+                   for order in (updates, updates[::-1])]
+            assert [g.centroids.tobytes() for g in got] == [want.centroids.tobytes()] * 2
 
 
 class TestSampleDisconnections:
@@ -568,13 +583,30 @@ class TestRun:
                 restarts=config.kmeans_restarts,
             )
             updates.append(ClientUpdate(l, len(idx), model, cset))
-        fused = aggregate_centroids(
-            updates, config.k,
+        fused, _ = lloyd(
+            np.vstack([u.centroids.centroids for u in updates]), config.k,
             federation._stream_seed(config.seed, federation._S_BOOT_FUSE),
             restarts=config.kmeans_restarts,
         )
         expected = assign_nearest(diffnet.forward_encoder(model, ds.features), fused)
         np.testing.assert_array_equal(result.assignment.labels, expected.labels)
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "KFED"])
+    @pytest.mark.parametrize("k, classes", [(65, 66), (3, 66), (65, 3)])
+    def test_kappa_limit_fails_before_training(self, algorithm, k, classes, monkeypatch):
+        # A labeled run that kappa cannot score is refused before the k-FED
+        # bootstrap and the first round, not at the first evaluation.
+        ds = datagen.gaussian_mixture(classes, 70 // classes + 1, 2, 8.0, seed=0)
+        split = FederatedSplit([np.arange(ds.n)])
+        calls = []
+        for name in ("lloyd", "local_round"):
+            def spy(*args, name=name, inner=getattr(federation, name), **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(federation, name, spy)
+        with pytest.raises(ConfigError, match=f"at most {metrics.KAPPA_MAX_CLUSTERS} clusters"):
+            run(small_config(algorithm=algorithm, k=k), ds, split)
+        assert calls == []
 
     def test_deterministic_records(self):
         ds, split = blob_fixture()
@@ -718,8 +750,8 @@ class TestKfed:
             federation._stream_seed(config.seed, federation._S_KFED, 0),
             restarts=config.kmeans_restarts,
         )
-        fused = aggregate_centroids(
-            [ClientUpdate(0, ds.n, None, cents)], 3,
+        fused, _ = lloyd(
+            cents.centroids, 3,
             federation._stream_seed(config.seed, federation._S_KFED, 1),
             restarts=config.kmeans_restarts,
         )

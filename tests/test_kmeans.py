@@ -47,7 +47,7 @@ def oracle_kmeanspp(points, k, seed, hits):
     ordered = points[_oracle_canonical_order(points)]
     trials = 2 + int(np.log(k)) if k > 1 else 1
     chosen = [int(rng.integers(n))]
-    d2 = np.square(ordered - ordered[chosen[0]]).sum(axis=1)
+    d2 = _oracle_sq_dists(ordered, ordered[chosen[:1]])[:, 0]
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -56,7 +56,7 @@ def oracle_kmeanspp(points, k, seed, hits):
             candidates = np.minimum(np.searchsorted(cum, us, side="right"), n - 1)
             best_pos, best_potential = -1, np.inf
             for pos in candidates:
-                potential = float(np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1)).sum())
+                potential = float(np.minimum(d2, _oracle_sq_dists(ordered, ordered[[pos]])[:, 0]).sum())
                 if potential < best_potential:
                     best_pos, best_potential = int(pos), potential
                 elif potential == best_potential and pos != best_pos:
@@ -67,7 +67,7 @@ def oracle_kmeanspp(points, k, seed, hits):
             remaining = np.setdiff1d(np.arange(n), np.array(chosen, dtype=np.int64))
             pos = int(remaining[rng.integers(len(remaining))])
         chosen.append(pos)
-        d2 = np.minimum(d2, np.square(ordered - ordered[pos]).sum(axis=1))
+        d2 = np.minimum(d2, _oracle_sq_dists(ordered, ordered[[pos]])[:, 0])
     return ordered[np.array(chosen, dtype=np.int64)].copy()
 
 
