@@ -31,13 +31,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
+        if 0 in self.features.shape:
+            raise ConfigError(f"features have shape {self.features.shape}: no rows or no columns")
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64).ravel()
             if labels.size != self.features.shape[0]:
                 raise ConfigError(
                     f"{labels.size} labels for {self.features.shape[0]} rows"
                 )
-            if labels.size and (labels.min() != 0 or len(np.unique(labels)) != labels.max() + 1):
+            if labels.min() != 0 or len(np.unique(labels)) != labels.max() + 1:
                 raise ConfigError("label ids must be contiguous from 0")
             self.labels = labels
 
@@ -102,14 +104,12 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> FederatedSplit:
     replacement from class l mod num_classes, then s minus that many drawn
     uniformly from all still-unclaimed samples.
     """
-    if dataset.labels is None:
-        raise ConfigError("partitioning needs a labeled dataset")
+    num_classes = dataset.num_classes
     m, s, p = spec.num_clients, spec.samples_per_client, spec.heterogeneity
     if m * s > dataset.n:
         raise SizeError(
             f"{m} clients x {s} samples exceeds dataset size {dataset.n}"
         )
-    num_classes = dataset.num_classes
     quota = int(round(p * s))
 
     rng = np.random.default_rng(spec.seed)
@@ -202,8 +202,8 @@ def save_fvd(dataset: LabeledDataset, path) -> None:
 
 
 def _loaded_dataset(path, features: np.ndarray, labels) -> LabeledDataset:
-    """The dataset of a loaded file; values LabeledDataset rejects (non-finite
-    features, labels not contiguous from 0) raise FormatError naming the file."""
+    """The dataset of a loaded file; values LabeledDataset rejects (empty or
+    non-finite features, labels not contiguous from 0) raise FormatError naming the file."""
     try:
         return LabeledDataset(features, labels, name=Path(path).stem)
     except (ConfigError, NumericError) as exc:

@@ -122,10 +122,6 @@ class SiameseModel:
                 for tag, block in (("encoder", self.encoder), ("predictor", self.predictor))
                 for i in range(len(block.weights)) for kind in "Wb"]
 
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder_spec.out_dim
-
     def copy(self) -> "SiameseModel":
         """Copy of the parameter vector, with fresh (zero) Adam state."""
         return SiameseModel(self.encoder_spec, self.predictor_spec, self.theta.copy())

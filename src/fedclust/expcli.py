@@ -41,7 +41,7 @@ COLUMNS = {
     "algorithm": str, "p": float, "lambda": float, "disconnection_rate": float,
     "seed": int, "round": int, "loss_total": _parse_optional,
     "loss_contrastive": _parse_optional, "loss_regularizer": _parse_optional,
-    "nmi": _parse_optional, "kappa": _parse_optional, "ch_score": _parse_optional,
+    "nmi": float, "kappa": float, "ch_score": _parse_optional,
     "final": _parse_bool,
 }
 
@@ -260,22 +260,15 @@ def _load_dataset(cfg: dict) -> LabeledDataset:
 
 
 def _run_cell(cfg, dataset, value, seed, log):
-    num_classes = dataset.num_classes if dataset.labels is not None else None
+    num_classes = dataset.num_classes  # every run is scored, so the dataset must be labeled
     m = cfg["partition"]["num_clients"] or num_classes
-    if m is None:
-        raise ConfigError("partition.num_clients: required for unlabeled datasets")
     k = cfg["run"]["k"] or num_classes
-    if k is None:
-        raise ConfigError("run.k: required for unlabeled datasets")
     run_cfg, spec = _cell(cfg, value, seed, k=k, num_clients=m, samples_per_client=dataset.n // m)
     p, lam, rate = spec.heterogeneity, run_cfg.lam, run_cfg.disconnection_rate
     tag = f"[{run_cfg.algorithm} p={p:g} lambda={lam:g} rate={rate:g} seed={seed}]"
 
     def progress(record):
-        log(
-            f"{tag} round {record.round}/{run_cfg.rounds}"
-            f" nmi={record.nmi if record.nmi is not None else 'n/a'}"
-        )
+        log(f"{tag} round {record.round}/{run_cfg.rounds} nmi={record.nmi}")
 
     split = datagen.partition(dataset, spec)
     result = federation.run(run_cfg, dataset, split, progress=progress)
@@ -287,8 +280,7 @@ def _run_cell(cfg, dataset, value, seed, log):
         )))
         for i, rec in enumerate([*result.records, result.final])
     ]
-    fin = result.final
-    log(f"{tag} final nmi={fin.nmi if fin.nmi is not None else 'n/a'}")
+    log(f"{tag} final nmi={result.final.nmi}")
     return rows
 
 
@@ -362,14 +354,8 @@ def summarize(csv_path) -> list[dict]:
     for row in rows:
         groups.setdefault(tuple(row[c] for c in SUMMARY_COLUMNS[:4]), []).append(row)
 
-    def agg(values):
-        vals = [v for v in values if v is not None]
-        if not vals:
-            return None, None
-        return (
-            statistics.fmean(vals),
-            statistics.pstdev(vals) if len(vals) > 1 else 0.0,
-        )
+    def agg(values):  # a single run's pstdev is exactly 0.0
+        return statistics.fmean(values), statistics.pstdev(values)
 
     table = []
     for key in sorted(groups):

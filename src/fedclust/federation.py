@@ -149,8 +149,8 @@ class RoundRecord:
     loss_total: float | None
     loss_contrastive: float | None
     loss_regularizer: float | None
-    nmi: float | None
-    kappa: float | None
+    nmi: float
+    kappa: float
     ch: float | None
 
 
@@ -357,41 +357,37 @@ def _evaluate(
     clients: list[ClientState],
     dataset: LabeledDataset,
     split: FederatedSplit,
-) -> tuple[Assignment, float | None, float | None, float | None]:
+) -> tuple[Assignment, float, float, float | None]:
     """Label every row and score the labeling: (assignment, NMI, kappa, CH).
 
-    Server variants label each row with its nearest global centroid in the
-    global model's latent space and score the whole dataset. Standalone
-    variants label each client's rows with its own model and centroids (ids
-    are per-client and unaligned) and report the mean of the connected
-    clients' scores on their own slices. CH scores the true classes in the
-    latent space.
+    One loop over labeling units: each encodes its rows with its model,
+    labels them with the nearest of its centroids, and, if scored, scores
+    them. A server variant has one unit, every row under the global model
+    and centroids. A standalone variant has one per client, its own rows
+    under its own model and centroids (ids are per-client and unaligned),
+    scored only if the client is connected; floor(rate * m) < m leaves at
+    least one. The scores are the mean over the scored units. CH scores the
+    true classes in the latent space, and is None where no unit defines it.
     """
-    if not config.standalone:
-        latents = diffnet.forward_encoder(server.global_model, dataset.features)
-        assignment = assign_nearest(latents, server.global_centroids)
-        if dataset.labels is None:
-            return assignment, None, None, None
-        return (assignment, *_scores(assignment.labels, dataset.labels, latents))
-
+    if config.standalone:
+        units = [(split.client_indices[c.client_id], c.model, c.centroids, c.features, c.connected)
+                 for c in clients]
+    else:
+        units = [(slice(None), server.global_model, server.global_centroids, dataset.features, True)]
     labels = np.zeros(dataset.n, dtype=np.int64)
     inertia = 0.0
-    per_client = []
-    for client in clients:
-        idx = split.client_indices[client.client_id]
-        latents = diffnet.forward_encoder(client.model, client.features)
-        part = assign_nearest(latents, client.centroids)
+    scores = []
+    for idx, model, centroids, features, scored in units:
+        latents = diffnet.forward_encoder(model, features)
+        part = assign_nearest(latents, centroids)
         labels[idx] = part.labels
         inertia += part.inertia
-        if client.connected and dataset.labels is not None:
-            per_client.append(_scores(part.labels, dataset.labels[idx], latents))
-    assignment = Assignment(labels, inertia)
-    if not per_client:
-        return assignment, None, None, None
-    nmis, kappas, chs = zip(*per_client)
+        if scored:
+            scores.append(_scores(part.labels, dataset.labels[idx], latents))
+    nmis, kappas, chs = zip(*scores)
     chs = [ch for ch in chs if ch is not None]
     return (
-        assignment,
+        Assignment(labels, inertia),
         float(np.mean(nmis)),
         float(np.mean(kappas)),
         float(np.mean(chs)) if chs else None,
@@ -461,11 +457,13 @@ def run(
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation, or the bootstrap's in a
-    zero-round run.
+    zero-round run. Every run is scored, so a dataset without labels, or
+    one with more clusters than kappa takes, raises ConfigError before the
+    bootstrap.
     """
     config.validate()
-    # Fail before training, not at the first evaluation, when kappa cannot score the run.
-    clusters = max(config.k, dataset.num_classes) if dataset.labels is not None else 0
+    # Fail before training when the run cannot be scored (no labels, or too many clusters).
+    clusters = max(config.k, dataset.num_classes)
     if clusters > metrics.KAPPA_MAX_CLUSTERS:
         raise ConfigError(f"kappa supports at most {metrics.KAPPA_MAX_CLUSTERS} clusters, got {clusters}")
     m = split.num_clients
@@ -488,11 +486,8 @@ def run(
             raw_fused = aggregate_centroids(raw_updates, config, _S_KFED, m)
     if config.algorithm == "KFED":
         assignment = assign_nearest(dataset.features, raw_fused)
-        nmi_v = kappa_v = None
-        if dataset.labels is not None:
-            nmi_v = metrics.nmi(assignment.labels, dataset.labels)
-            kappa_v = metrics.kappa(assignment.labels, dataset.labels)
-        final = RoundRecord(0, None, None, None, nmi_v, kappa_v, None)
+        final = RoundRecord(0, None, None, None, metrics.nmi(assignment.labels, dataset.labels),
+                            metrics.kappa(assignment.labels, dataset.labels), None)
         return RunResult([], assignment, final)
     raw_targets = {u.client_id: u.centroids for u in raw_updates}
 

@@ -160,7 +160,7 @@ class TestClusterContrastiveLoss:
         value, grads_p, grads_z = cluster_contrastive_loss(model, batches)
         assert value == pytest.approx(expected, abs=1e-12)
         assert all(np.all(g == 0.0) for g in grads_z)
-        assert all(g.shape == (3, model.latent_dim) for g in grads_p)
+        assert all(g.shape == (3, model.encoder_spec.out_dim) for g in grads_p)
 
     def test_batch_below_two_rejected(self):
         with pytest.raises(ContractError):
@@ -307,7 +307,7 @@ class TestCombinedLoss:
         global_pred = global_predictions(snapshot, batches)
         plain, g_plain = combined_loss(model, global_pred, batches, lam=0.2)
         zero, g_zero = combined_loss(
-            model, global_pred, batches, lam=0.2, center=np.zeros(model.latent_dim)
+            model, global_pred, batches, lam=0.2, center=np.zeros(model.encoder_spec.out_dim)
         )
         assert plain == zero
         np.testing.assert_array_equal(g_plain, g_zero)

@@ -291,6 +291,15 @@ class TestLabeledDataset:
         with pytest.raises(ConfigError):
             LabeledDataset(np.zeros((3, 2)), [0, 1])
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 2), (3, 0), (0, 0)], ids=["no-rows", "no-columns", "neither"]
+    )
+    def test_empty_features_rejected(self, shape):
+        with pytest.raises(ConfigError, match="no rows or no columns"):
+            LabeledDataset(np.zeros(shape), None)
+        with pytest.raises(ConfigError, match="no rows or no columns"):
+            LabeledDataset(np.zeros(shape), np.zeros(shape[0], dtype=np.int64))
+
 
 # Loaders on truncated or garbled input: every failure is a FormatError.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)

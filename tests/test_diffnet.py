@@ -383,5 +383,5 @@ class TestKernelBenchmarks:
         benchmark.pedantic(diffnet.adam_step, args=(model, grads, 3e-3), rounds=300)
         steps = [model.unflatten(grads)] * model.adam_t
         expected = reference_adam(start, steps, lr=3e-3)
-        assert model.adam_t == 300
+        assert model.adam_t == (1 if benchmark.disabled else 300)  # disabled: one call
         assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]

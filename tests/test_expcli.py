@@ -4,6 +4,7 @@ the command-line entry points."""
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedclust import expcli
+from fedclust.datagen import FVD_MAGIC, LabeledDataset, save_fvd
 from fedclust.errors import ConfigError, FormatError
 from fedclust.expcli import (
     COLUMNS,
@@ -266,8 +268,12 @@ class TestSummarize:
             lambda fields: fields[:-1],
             lambda fields: [fields[0], "abc", *fields[2:]],
             lambda fields: [*fields[:-1], "maybe"],
+            # Every run is scored: an empty score is malformed, not a run to
+            # leave out of its cell's mean.
+            lambda fields: [*fields[:9], "", *fields[10:]],
+            lambda fields: [*fields[:10], "", *fields[11:]],
         ],
-        ids=["short-row", "p-abc", "final-maybe"],
+        ids=["short-row", "p-abc", "final-maybe", "nmi-empty", "kappa-empty"],
     )
     def test_malformed_row_rejected(self, tmp_path, edit):
         cfg = parse_config(SMALL)
@@ -369,6 +375,36 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "kappa supports at most 64 clusters, got 66" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sets",
+        [[], ["partition.num_clients=2"], ["partition.num_clients=2", "run.k=3"]],
+        ids=["nothing-set", "num-clients-set", "num-clients-and-k-set"],
+    )
+    def test_unlabeled_dataset_exit_code(self, tmp_path, capsys, sets):
+        # Every run is scored: whatever sizes the config sets, a dataset
+        # without labels is one config error.
+        fvd = tmp_path / "plain.fvd"
+        save_fvd(LabeledDataset(np.random.default_rng(0).normal(size=(40, 4)), None), fvd)
+        config = {**SMALL, "dataset": {"type": "fvd", "path": str(fvd)},
+                  "partition": {"samples_per_client": 20}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: dataset 'plain' has no labels\n"
+
+    def test_empty_dataset_exit_3(self, tmp_path, capsys):
+        # A labeled FVD file with no rows is malformed: no run can use it.
+        fvd = tmp_path / "empty.fvd"
+        fvd.write_bytes(FVD_MAGIC + struct.pack("<II", 0, 4) + b"\x01")
+        config = {**SMALL, "dataset": {"type": "fvd", "path": str(fvd)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 3
+        assert "empty.fvd" in capsys.readouterr().err
+
     def test_output_key_rejected(self, tmp_path):
         # The output directory is the required --out flag, never a config key.
         cfg_path = tmp_path / "cfg.json"
@@ -406,6 +442,14 @@ class TestCli:
     def test_convert_bad_values_exit_3(self, tmp_path, capsys, body):
         src = tmp_path / "data.csv"
         src.write_text("a,label\n" + body)
+        assert main(["convert", "--in", str(src), "--out", str(tmp_path / "data.fvd")]) == 3
+        assert "data.csv" in capsys.readouterr().err
+        assert not (tmp_path / "data.fvd").exists()
+
+    def test_convert_label_only_csv_exit_3(self, tmp_path, capsys):
+        # A label column and nothing else has no features to convert.
+        src = tmp_path / "data.csv"
+        src.write_text("label\n0\n1\n")
         assert main(["convert", "--in", str(src), "--out", str(tmp_path / "data.fvd")]) == 3
         assert "data.csv" in capsys.readouterr().err
         assert not (tmp_path / "data.fvd").exists()

@@ -591,6 +591,17 @@ class TestRun:
         expected = assign_nearest(diffnet.forward_encoder(model, ds.features), fused)
         np.testing.assert_array_equal(result.assignment.labels, expected.labels)
 
+    @staticmethod
+    def spy_training(monkeypatch) -> list[str]:
+        """The names of the k-means and local-round calls `run` makes from now on."""
+        calls = []
+        for name in ("lloyd", "local_round"):
+            def spy(*args, name=name, inner=getattr(federation, name), **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(federation, name, spy)
+        return calls
+
     @pytest.mark.parametrize("algorithm", ["CCFC", "KFED"])
     @pytest.mark.parametrize("k, classes", [(65, 66), (3, 66), (65, 3)])
     def test_kappa_limit_fails_before_training(self, algorithm, k, classes, monkeypatch):
@@ -598,14 +609,21 @@ class TestRun:
         # bootstrap and the first round, not at the first evaluation.
         ds = datagen.gaussian_mixture(classes, 70 // classes + 1, 2, 8.0, seed=0)
         split = FederatedSplit([np.arange(ds.n)])
-        calls = []
-        for name in ("lloyd", "local_round"):
-            def spy(*args, name=name, inner=getattr(federation, name), **kwargs):
-                calls.append(name)
-                return inner(*args, **kwargs)
-            monkeypatch.setattr(federation, name, spy)
+        calls = self.spy_training(monkeypatch)
         with pytest.raises(ConfigError, match=f"at most {metrics.KAPPA_MAX_CLUSTERS} clusters"):
             run(small_config(algorithm=algorithm, k=k), ds, split)
+        assert calls == []
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "KFED"])
+    def test_unlabeled_dataset_fails_before_training(self, algorithm, monkeypatch):
+        # Every run is scored, so a dataset without labels is refused before
+        # the k-FED bootstrap and the first round.
+        features = np.random.default_rng(0).normal(size=(30, 2))
+        ds = datagen.LabeledDataset(features, None, name="plain")
+        split = FederatedSplit([np.arange(15), np.arange(15, 30)])
+        calls = self.spy_training(monkeypatch)
+        with pytest.raises(ConfigError, match="dataset 'plain' has no labels"):
+            run(small_config(algorithm=algorithm), ds, split)
         assert calls == []
 
     def test_deterministic_records(self):
