@@ -174,6 +174,8 @@ def parse_config(source=None, overrides: list[str] | None = None) -> dict:
             raise ConfigError(f"config file not found: {source}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {source} is not UTF-8 text: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
 

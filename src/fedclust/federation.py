@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,8 +37,6 @@ ALGORITHMS = (
 # Stream tags for per-purpose RNG derivation.
 _S_INIT = 0
 _S_CONN = 1
-_S_BOOT_KM = 2
-_S_BOOT_FUSE = 3
 _S_LOCAL = 4
 _S_LOCAL_KM = 5
 _S_FUSE = 6
@@ -73,8 +72,8 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.rounds < 0:
-            raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
+        if self.rounds < 1:
+            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.local_epochs < 0:
             raise ConfigError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if self.batch_max < 2:
@@ -162,10 +161,10 @@ class RunResult:
 
 
 def sample_disconnections(m: int, rate: float, seed: int) -> set[int]:
-    """Choose floor(rate*m) distinct clients to drop for the whole run."""
+    """Choose floor(rate*m) distinct clients to drop for the run, rate*m exact in decimal."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"disconnection rate must be in [0, 1), got {rate}")
-    count = math.floor(rate * m)
+    count = math.floor(Fraction(repr(float(rate))) * m)
     if count == 0:
         return set()
     rng = np.random.default_rng(seed)
@@ -313,8 +312,6 @@ def local_round(
                     batches.append(ClusterBatch(features[sel], c))
                     rows.append(sel)
                 solo = features[solo_idx] if (len(solo_idx) and lam_eff > 0) else None
-                if not batches and solo is None:
-                    continue
                 global_pred = global_p[np.concatenate(rows + [solo_idx])] if lam_eff > 0 else None
                 center = contrastive.batch_center if batches else None
                 report, grads = contrastive.combined_loss(
@@ -409,7 +406,7 @@ def _scores(
 
 def _raw_grouping_rounds(rounds: int) -> int:
     """Number of leading rounds that group on raw features: the first quarter
-    of the schedule, and at least one round when any round runs."""
+    of the schedule, and at least one round."""
     return math.ceil(rounds / 4)
 
 
@@ -425,11 +422,9 @@ def run(
     cluster-contrastive variants then run k-FED: each connected client mines
     k centroids on its raw features and the server fuses them, exactly as
     the KFED baseline does (standalone clients keep their own local raw
-    centroids instead). A zero-round run instead has clients mine centroids
-    from the initial model's latents and the server fuse them, which is what
-    it reports. The sample-contrastive variants group nothing, so with any
-    round to run they start without centroids. KFED is that raw-space
-    bootstrap alone: it labels every row with its nearest fused centroid.
+    centroids instead). The sample-contrastive variants group nothing, so
+    they start without centroids. KFED is that raw-space bootstrap alone:
+    it labels every row with its nearest fused centroid.
 
     Each round then runs broadcast, local training, and aggregation. The
     first R = ceil(rounds / 4) rounds group each client's data against the
@@ -446,8 +441,8 @@ def run(
     server's fusion in `aggregate_centroids` of the uploads stacked in client
     order. It runs `kmeans_restarts` seeded restarts only where there are no
     centroids to start from: the k-FED bootstrap (and KFED, which is that
-    bootstrap alone), the zero-round bootstrap (with a standalone run's
-    disconnected clients, which never train) and SCFC's first round. Every
+    bootstrap alone), a standalone run's disconnected clients (which never
+    train) and SCFC's first round. Every
     other k-means, each client's mining and the server's fusion alike, is
     one Lloyd run from the centroids the round grouped against, in the
     latent space of the model held as the round began (`_round_start`): the
@@ -456,10 +451,10 @@ def run(
     which are also the round's latent prototypes of the raw groups.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
-    and labeling are the last round's evaluation, or the bootstrap's in a
-    zero-round run. Every run is scored, so a dataset without labels, or
-    one with more clusters than kappa takes, raises ConfigError before the
-    bootstrap.
+    and labeling are the last round's evaluation. A run trains, so
+    `config.rounds` below 1 raises ConfigError before the bootstrap. Every
+    run is scored, so a dataset without labels, or one with more clusters
+    than kappa takes, raises ConfigError there too.
     """
     config.validate()
     # Fail before training when the run cannot be scored (no labels, or too many clusters).
@@ -507,15 +502,6 @@ def run(
     ]
     connected = [c for c in clients if c.connected]
 
-    # A zero-round run reports the initial model's latent clustering. Other
-    # sample-contrastive runs start without centroids: their local rounds
-    # read no targets, and round 1 replaces the centroids before evaluation.
-    if config.rounds == 0:
-        for client in connected:
-            latents = diffnet.forward_encoder(client.model, client.features)
-            client.centroids = _mine(config, latents, _S_BOOT_KM, client.client_id)
-        if not config.standalone:
-            server.global_centroids = aggregate_centroids(_uploads(connected), config, _S_BOOT_FUSE)
     if config.standalone:
         # Disconnected clients never train, so their rows are labeled by
         # k-means on their initial model's latents, mined once here.
@@ -525,7 +511,6 @@ def run(
                 client.centroids = _mine(config, latents, _S_LAZY, client.client_id)
 
     records: list[RoundRecord] = []
-    evaluation = None
     for round_index in range(1, config.rounds + 1):
         raw_space = round_index <= raw_rounds
         if not config.standalone:
@@ -559,8 +544,5 @@ def run(
         if progress is not None:
             progress(record)
 
-    if evaluation is None:  # a zero-round run reports its bootstrap
-        evaluation = _evaluate(config, server, clients, dataset, split)
-    assignment, nmi_v, kappa_v, ch_v = evaluation
-    final = RoundRecord(config.rounds, None, None, None, nmi_v, kappa_v, ch_v)
-    return RunResult(records, assignment, final)
+    final = RoundRecord(config.rounds, None, None, None, *evaluation[1:])
+    return RunResult(records, evaluation[0], final)

@@ -171,6 +171,8 @@ def calinski_harabasz(points, labels) -> float:
         between += len(members) * float(np.square(mu - overall).sum())
         within += float(np.square(members - mu).sum())
     if within == 0.0:
+        if between == 0.0:
+            raise MetricError("Calinski-Harabasz is undefined when every point coincides")
         return math.inf
     return (between / (k - 1)) / (within / (n - k))
 

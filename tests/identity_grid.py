@@ -3,7 +3,7 @@ small grid of federated runs.
 
     PYTHONPATH=src python tests/identity_grid.py
 
-The grid is every name in ALGORITHMS x rounds {0, 2} x disconnection rate
+The grid is every name in ALGORITHMS x rounds {1, 2} x disconnection rate
 {0, 0.5} x p {0, 1} on a 4-component mixture with 60 rows per client. Floats
 are hashed as their hex form, so two trees print the same HASH line only if
 every run gives bit-identical results. It takes about a second; pytest does
@@ -30,7 +30,7 @@ def main():
     ds = datagen.gaussian_mixture(4, 60, 8, 3.0, 11)
     h = hashlib.sha256()
     for algo in ALGORITHMS:
-        for rounds in (0, 2):
+        for rounds in (1, 2):
             for rate in (0.0, 0.5):
                 for p in (0.0, 1.0):
                     split = datagen.partition(ds, PartitionSpec(4, p, 60, seed=3))

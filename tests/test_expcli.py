@@ -366,6 +366,24 @@ class TestCli:
         cfg_path.write_text(json.dumps({"run": {"lambda": -1}}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_zero_rounds_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A run trains: rounds=0 is refused before any data is loaded.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        loads = []
+        monkeypatch.setattr(expcli, "_load_dataset", lambda *a: loads.append(a))
+        out_dir = tmp_path / "x"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out_dir), "--set", "run.rounds=0"]
+        assert main(argv) == 2
+        assert "rounds must be >= 1" in capsys.readouterr().err
+        assert loads == [] and not out_dir.exists()
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'{"repeats": 1\xff}')
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "bad.json" in capsys.readouterr().err
+
     def test_kappa_limit_exit_code(self, tmp_path, capsys):
         # 66 classes, so k = 66: kappa cannot score the run, which is refused
         # as a config error before any training.

@@ -70,7 +70,7 @@ class TestRunConfig:
         "field, value",
         [
             ("kmeans_restarts", 0), ("latent_dim", 0), ("encoder_hidden", (0,)),
-            ("predictor_hidden", (8, 0)), ("augment_strength", -1.0),
+            ("predictor_hidden", (8, 0)), ("augment_strength", -1.0), ("rounds", 0),
         ],
     )
     def test_validate_rejects_out_of_range(self, field, value):
@@ -252,6 +252,13 @@ class TestSampleDisconnections:
 
     def test_deterministic(self):
         assert sample_disconnections(20, 0.3, seed=2) == sample_disconnections(20, 0.3, seed=2)
+
+    @pytest.mark.parametrize("m, rate, count", [
+        (50, 0.58, 29), (100, 0.29, 29), (100, 0.57, 57), (3, 0.34, 1), (4, 0.5, 2),
+    ])
+    def test_count_is_the_decimal_floor(self, m, rate, count):
+        # In binary floating point 0.58 * 50 reads 28.999999999999996.
+        assert len(sample_disconnections(m, rate, seed=0)) == count
 
     def test_rate_one_rejected(self):
         # floor(rate*m) == m is only reachable at rate >= 1, which the range
@@ -500,7 +507,6 @@ class TestMiningSchedule:
 
     @pytest.mark.parametrize("algorithm, rounds", [
         ("CCFC", 5), ("CCFC_noreg", 5), ("SCFC", 3), ("SCFC_noreg", 3), ("KFED", 3),
-        ("CCFC", 0), ("SCFC", 0),
     ])
     def test_fusion_starts_from_the_broadcast(self, algorithm, rounds, monkeypatch):
         ds, split = blob_fixture(m=4)
@@ -539,11 +545,11 @@ class TestMiningSchedule:
         run(config, ds, split)
 
         # Fusion is seeded only where nothing was broadcast yet: the k-FED
-        # bootstrap, the zero-round bootstrap, KFED and SCFC's first round.
+        # bootstrap, KFED and SCFC's first round.
         seeded = [(r, kw) for r, kw in fusions if kw["init"] is None]
         assert all(kw["restarts"] == config.kmeans_restarts for _, kw in seeded)
-        bootstrap = algorithm.startswith("CCFC") or algorithm == "KFED" or rounds == 0
-        first_scfc = algorithm.startswith("SCFC") and rounds > 0
+        bootstrap = algorithm.startswith("CCFC") or algorithm == "KFED"
+        first_scfc = algorithm.startswith("SCFC")
         assert [r for r, _ in seeded] == [0] * bootstrap + [1] * first_scfc
         # Every other fusion, one per round KFED does not run, starts warm.
         warm = [(r, kw) for r, kw in fusions if kw["init"] is not None]
@@ -563,34 +569,6 @@ class TestMiningSchedule:
 
 
 class TestRun:
-    def test_zero_rounds_final_equals_bootstrap(self):
-        ds, split = blob_fixture()
-        config = small_config(rounds=0)
-        result = run(config, ds, split)
-        assert result.records == []
-        # Rebuild the bootstrap state by hand and compare labels.
-        model = init_model(
-            MlpSpec((ds.dim, *config.encoder_hidden, config.latent_dim)),
-            MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim)),
-            federation._stream_seed(config.seed, federation._S_INIT),
-        )
-        updates = []
-        for l, idx in enumerate(split.client_indices):
-            z = diffnet.forward_encoder(model, ds.features[idx])
-            cset, _ = lloyd(
-                z, config.k,
-                federation._stream_seed(config.seed, federation._S_BOOT_KM, l),
-                restarts=config.kmeans_restarts,
-            )
-            updates.append(ClientUpdate(l, len(idx), model, cset))
-        fused, _ = lloyd(
-            np.vstack([u.centroids.centroids for u in updates]), config.k,
-            federation._stream_seed(config.seed, federation._S_BOOT_FUSE),
-            restarts=config.kmeans_restarts,
-        )
-        expected = assign_nearest(diffnet.forward_encoder(model, ds.features), fused)
-        np.testing.assert_array_equal(result.assignment.labels, expected.labels)
-
     @staticmethod
     def spy_training(monkeypatch) -> list[str]:
         """The names of the k-means and local-round calls `run` makes from now on."""
@@ -612,6 +590,16 @@ class TestRun:
         calls = self.spy_training(monkeypatch)
         with pytest.raises(ConfigError, match=f"at most {metrics.KAPPA_MAX_CLUSTERS} clusters"):
             run(small_config(algorithm=algorithm, k=k), ds, split)
+        assert calls == []
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC", "KFED"])
+    def test_zero_rounds_fail_before_training(self, algorithm, monkeypatch):
+        # A run trains: rounds=0 is refused before the k-FED bootstrap, also
+        # for KFED, which never reads `rounds`.
+        ds, split = blob_fixture()
+        calls = self.spy_training(monkeypatch)
+        with pytest.raises(ConfigError, match="rounds must be >= 1, got 0"):
+            run(small_config(algorithm=algorithm, rounds=0), ds, split)
         assert calls == []
 
     @pytest.mark.parametrize("algorithm", ["CCFC", "KFED"])
@@ -726,16 +714,6 @@ class TestEvaluation:
         np.testing.assert_array_equal(
             result.assignment.labels[idx], assign_nearest(latents, cset).labels
         )
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_zero_round_run_has_final_record(self, algorithm):
-        ds, split = blob_fixture(k=3, n_per=40, m=3)
-        config = small_config(algorithm=algorithm, rounds=0)
-        result = run(config, ds, split)
-        assert result.records == []
-        assert result.final.round == 0
-        assert result.final.nmi is not None and result.final.kappa is not None
-        assert result.assignment.labels.shape == (ds.n,)
 
     def test_ch_failure_other_than_undefined_propagates(self, monkeypatch):
         def broken(points, labels):

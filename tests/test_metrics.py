@@ -228,6 +228,16 @@ class TestCalinskiHarabasz:
         assert shifted == pytest.approx(base, rel=1e-9)
         assert scaled == pytest.approx(base, rel=1e-9)
 
+    def test_coincident_points_rejected(self):
+        # Every point equal: both dispersions are 0, a total collapse, not a
+        # perfect clustering.
+        with pytest.raises(MetricError):
+            metrics.calinski_harabasz(np.ones((10, 3)), [0, 1] * 5)
+
+    def test_zero_within_dispersion_is_inf(self):
+        pts = np.repeat([[0.0, 0.0], [1.0, 2.0]], 5, axis=0)
+        assert metrics.calinski_harabasz(pts, [0] * 5 + [1] * 5) == math.inf
+
     def test_single_cluster_rejected(self):
         with pytest.raises(MetricError):
             metrics.calinski_harabasz(np.random.default_rng(9).normal(size=(10, 2)), [0] * 10)
