@@ -5,7 +5,9 @@ All numerics are float64 numpy arrays in row-major layout. The computation
 graph is fixed: an encoder MLP maps inputs to latent vectors, a predictor MLP
 maps the latent space to itself. Hidden layers use ReLU, output layers are
 linear. Loss layers provide gradients with respect to the network outputs;
-`backward` turns those into parameter gradients.
+`backward` turns those into parameter gradients. A pass keeps one array per
+layer: bias and ReLU are written into the layer's matrix product, and
+backward masks a hidden layer's gradient where the next layer's input is > 0.
 
 A model keeps all of its parameters in one vector, `theta`: the encoder's
 layers, then the predictor's, each as its weight matrix and then its bias
@@ -129,13 +131,11 @@ class SiameseModel:
 
 @dataclass
 class ForwardTaps:
-    """Each layer's inputs and pre-activations from one forward_full call,
-    consumed by backward."""
+    """Each layer's inputs from one forward_full call, consumed by backward.
+    A hidden layer's ReLU output is the next layer's input."""
 
     enc_inputs: list[np.ndarray]
-    enc_preacts: list[np.ndarray]
     pred_inputs: list[np.ndarray]
-    pred_preacts: list[np.ndarray]
 
 
 def init_model(spec_encoder: MlpSpec, spec_predictor: MlpSpec, seed: int) -> SiameseModel:
@@ -151,17 +151,18 @@ def init_model(spec_encoder: MlpSpec, spec_predictor: MlpSpec, seed: int) -> Sia
 
 def _mlp_forward(params: MlpParams, x: np.ndarray):
     last = len(params.weights) - 1
-    inputs, preacts = [], []
+    inputs = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(a)
-        s = a @ w + b
-        preacts.append(s)
-        a = np.maximum(s, 0.0) if i < last else s
-    return a, inputs, preacts
+        a = a @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    return a, inputs
 
 
-def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
+def _mlp_backward(params: MlpParams, inputs, grad_out: np.ndarray,
                   grads_w: list[np.ndarray], grads_b: list[np.ndarray],
                   input_grad: bool = True):
     """Write the weight and bias gradients into `grads_w` and `grads_b`;
@@ -170,10 +171,11 @@ def _mlp_backward(params: MlpParams, inputs, preacts, grad_out: np.ndarray,
     last = len(params.weights) - 1
     g = grad_out
     for i in range(last, -1, -1):
-        ds = g if i == last else g * (preacts[i] > 0.0)
-        np.matmul(inputs[i].T, ds, out=grads_w[i])
-        ds.sum(axis=0, out=grads_b[i])
-        g = ds @ params.weights[i].T if i or input_grad else None
+        if i < last:
+            g *= inputs[i + 1] > 0.0
+        np.matmul(inputs[i].T, g, out=grads_w[i])
+        g.sum(axis=0, out=grads_b[i])
+        g = g @ params.weights[i].T if i or input_grad else None
     return g
 
 
@@ -187,22 +189,22 @@ def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
 
 def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
     """Encode a batch row-wise: z = f(x)."""
-    z, _, _ = _mlp_forward(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
+    z, _ = _mlp_forward(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
     return z
 
 
 def forward_predictor(model: SiameseModel, z) -> np.ndarray:
     """Map latent rows through the predictor: p = h(z)."""
-    p, _, _ = _mlp_forward(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
+    p, _ = _mlp_forward(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
     return p
 
 
 def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardTaps]:
     """Run encoder then predictor, caching activations for backward."""
     batch = _net_input(model.encoder, batch, "batch", "encoder")
-    z, enc_in, enc_pre = _mlp_forward(model.encoder, batch)
-    p, pred_in, pred_pre = _mlp_forward(model.predictor, z)
-    return z, p, ForwardTaps(enc_in, enc_pre, pred_in, pred_pre)
+    z, enc_in = _mlp_forward(model.encoder, batch)
+    p, pred_in = _mlp_forward(model.predictor, z)
+    return z, p, ForwardTaps(enc_in, pred_in)
 
 
 def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> np.ndarray:
@@ -217,16 +219,16 @@ def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> n
     for cached, w in zip(taps.enc_inputs + taps.pred_inputs, weights):
         if cached.shape[1] != w.shape[0]:
             raise StateError("taps are incongruent with the model (stale forward cache?)")
-    out_shape = taps.pred_preacts[-1].shape  # the linear output layer's, so p's
+    out_shape = (len(taps.pred_inputs[0]), model.predictor_spec.out_dim)  # p's
     if grad_pred.shape != out_shape:
         raise ShapeError(f"grad_pred shape {grad_pred.shape} != outputs shape {out_shape}")
 
     grads = np.empty_like(model.theta)  # every entry is written below
     arrays = model.unflatten(grads)
     n = 2 * len(model.encoder.weights)
-    gz = _mlp_backward(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred,
+    gz = _mlp_backward(model.predictor, taps.pred_inputs, grad_pred,
                        arrays[n::2], arrays[n + 1::2])
-    _mlp_backward(model.encoder, taps.enc_inputs, taps.enc_preacts, gz,
+    _mlp_backward(model.encoder, taps.enc_inputs, gz,
                   arrays[0:n:2], arrays[1:n:2], input_grad=False)
     return grads
 

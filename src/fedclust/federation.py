@@ -21,7 +21,7 @@ from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
 from .diffnet import MlpSpec, SiameseModel
-from .errors import ConfigError, MetricError, ProtocolError
+from .errors import ConfigError, MetricError, ProtocolError, SizeError
 from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
 
 ALGORITHMS = (
@@ -222,10 +222,6 @@ def _round_start(model: SiameseModel, targets: CentroidSet | None,
     if targets is None or not raw_space:
         return targets
     return CentroidSet(diffnet.forward_encoder(model, targets.centroids))
-
-
-def _uploads(clients: list[ClientState]) -> list[ClientUpdate]:
-    return [ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids) for c in clients]
 
 
 def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None, float | None]:
@@ -454,7 +450,9 @@ def run(
     and labeling are the last round's evaluation. A run trains, so
     `config.rounds` below 1 raises ConfigError before the bootstrap. Every
     run is scored, so a dataset without labels, or one with more clusters
-    than kappa takes, raises ConfigError there too.
+    than kappa takes, raises ConfigError there too. A client that mines (a
+    connected one, or any client of a standalone run) with fewer than k rows
+    raises SizeError there, for every algorithm.
     """
     config.validate()
     # Fail before training when the run cannot be scored (no labels, or too many clusters).
@@ -467,6 +465,11 @@ def run(
     disconnected = sample_disconnections(
         m, config.disconnection_rate, _stream_seed(config.seed, _S_CONN)
     )
+    # Every client that mines needs k rows: a connected one, or any standalone one.
+    for l in range(m):
+        rows = len(split.client_indices[l])
+        if rows < config.k and (config.standalone or l not in disconnected):
+            raise SizeError(f"client {l} has {rows} rows, fewer than k={config.k}")
 
     # k-FED, KFED whole and a raw-grouping run's round-1 targets: each connected
     # client uploads the k-means of its raw features and no model, and the
@@ -525,17 +528,18 @@ def run(
                 targets = broadcast
             else:
                 targets = raw_targets[client.client_id] if raw_space else client.centroids
-            model, centroids, reports = local_round(
+            client.model, client.centroids, reports = local_round(
                 client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
-            client.model, client.centroids = model, centroids
             round_reports.extend(reports)
         if not config.standalone:
-            updates = _uploads(connected)
+            updates = [ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids)
+                       for c in connected]
             server.global_model = aggregate_models(updates)
             server.global_centroids = aggregate_centroids(
                 updates, config, _S_FUSE, round_index, init=start
             )
+            del updates  # so the next broadcast frees the trained client models
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

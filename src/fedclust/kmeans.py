@@ -22,7 +22,8 @@ the unconverged runs' centroids are one array, and a run that converges
 writes its centroids back and leaves it.
 
 Every exact squared distance is one expression, `_sq_dists`; only the Lloyd
-loop ranks its centroids by a BLAS expansion.
+loop ranks its centroids by a BLAS expansion. Every labeling (`_nearest`)
+runs in blocks of rows, so its memory does not grow with the points.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import ContractError, NumericError, ShapeError, SizeError
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 10
+_BLOCK = 256  # the rows `_nearest` labels per pass
 
 
 @dataclass
@@ -78,12 +80,16 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray
     return np.einsum("knd,knd->kn", diff, diff)
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-centroid labels (ties go to the lowest index) and each
-    point's squared distance to it."""
-    d2 = _sq_dists(points, centroids, out)
-    labels = np.argmin(d2, axis=0)
-    return labels, d2[labels, np.arange(len(labels))]
+    point's squared distance to it, labeled `_BLOCK` rows at a time so that
+    the temporary is _BLOCK x k x dim however many points there are."""
+    labels, point_d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    for lo in range(0, len(points), _BLOCK):
+        d2 = _sq_dists(points[lo:lo + _BLOCK], centroids)
+        np.argmin(d2, axis=0, out=labels[lo:lo + _BLOCK])
+        np.min(d2, axis=0, out=point_d2[lo:lo + _BLOCK])
+    return labels, point_d2
 
 
 # The Lloyd loop ranks centroids by a BLAS expansion of |x-c|^2 (the
@@ -275,12 +281,10 @@ def _runs(
         centroids[active] = current
 
     # Final labeling uses assign_nearest's exact distance path so each
-    # returned assignment is a fixed point of it on its centroids; one run at
-    # a time keeps the temporary at k x n x dim.
-    pairs = np.empty((k, n, dim))
+    # returned assignment is a fixed point of it on its centroids.
     out = []
     for cents, steps in zip(centroids, histories):
-        labels_c, point_d2 = _nearest(canon, cents, pairs)
+        labels_c, point_d2 = _nearest(canon, cents)
         inertia = float(point_d2.sum())
         if history:
             steps.append(inertia)

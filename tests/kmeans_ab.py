@@ -1,23 +1,29 @@
-"""Interleaved A/B timing of `fedclust.kmeans` from two source trees in one process.
+"""Interleaved A/B of `fedclust` kernels from two source trees in one process.
 
     OPENBLAS_NUM_THREADS=1 python tests/kmeans_ab.py <parent-src> <change-src> [rounds]
 
 Each tree's `fedclust` package is loaded under its own name, side by side.
 Every round times each case on both trees, alternating which goes first;
-a side's time in a round is the median of `REPS` calls. The inputs are
-those of tests/test_kmeans.py's TestKernelBenchmarks, and each case checks
-that both trees return the same bytes. Prints one JSON object: per case, the
-per-round times of both sides, their medians, and the rounds the change was
-faster in. One process and alternation keep machine drift out of the
-comparison, which separate pytest-benchmark runs do not. pytest does
-not collect it (no test_ prefix).
+a side's time in a round is the median of `REPS` calls. The `kmeans` cases
+take the inputs of tests/test_kmeans.py's TestKernelBenchmarks, plus
+`assign_nearest` at 50,000 rows; the `diffnet` cases run a desk SCFC step's
+forward and backward pass (64 augmentation pairs, 128 rows) and encode the
+desk workloads' 2,000 rows. Each case checks that both trees return the
+same bytes, and records each side's `tracemalloc` peak over one call. Prints
+one JSON object: per case, the per-round times of both sides, their
+medians, the rounds the change was faster in, and the two peaks. One
+process and alternation keep machine drift out of the comparison, which
+separate pytest-benchmark runs do not. pytest does not collect it (no test_
+prefix).
 """
 
+import importlib
 import importlib.util
 import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +32,7 @@ REPS = 15
 
 
 def load(src: str, name: str):
-    """The `kmeans` module of the `fedclust` package under `src`, imported as `name`."""
+    """The `fedclust` package under `src`, imported as `name`."""
     pkg = Path(src) / "fedclust"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -34,34 +40,59 @@ def load(src: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.kmeans")
+    return module
 
 
-def cases(km):
-    """name -> (description, zero-argument call returning bytes to compare)."""
-    def result(cents, assignment):
+def cases(package):
+    """name -> (description, zero-argument call, its result as bytes to compare)."""
+    km = importlib.import_module(f"{package.__name__}.kmeans")
+    dn = importlib.import_module(f"{package.__name__}.diffnet")
+
+    def run_bytes(result):
+        cents, assignment = result
         return cents.centroids.tobytes() + assignment.labels.tobytes()
+
+    def labels_bytes(assignment):
+        return assignment.labels.tobytes() + np.float64(assignment.inertia).tobytes()
 
     def seeded(n):
         pts = np.random.default_rng(n).normal(size=(n, 32))
-        return lambda: result(*km.lloyd(pts, 10, 0, restarts=10))
+        return lambda: km.lloyd(pts, 10, 0, restarts=10)
+
+    def assign(n):
+        rng = np.random.default_rng(n)
+        pts, cents = rng.normal(size=(n, 32)), km.CentroidSet(rng.normal(size=(10, 32)))
+        return lambda: km.assign_nearest(pts, cents)
 
     rng = np.random.default_rng(201)
     warm_pts = rng.normal(size=(200, 32))
     init, _ = km.lloyd(warm_pts + 0.05 * rng.normal(size=warm_pts.shape), 10, 0, restarts=10)
-    rng = np.random.default_rng(5000)
-    big, cents = rng.normal(size=(5000, 32)), km.CentroidSet(rng.normal(size=(10, 32)))
+    # The desk widths: 32 inputs, a 256-wide encoder, 32 latents, a 64-wide predictor.
+    model = dn.init_model(dn.MlpSpec((32, 256, 32)), dn.MlpSpec((32, 64, 32)), 0)
+    rng = np.random.default_rng(128)
+    step_rows, upstream = rng.normal(size=(128, 32)), rng.normal(size=(128, 32))
+    all_rows = np.random.default_rng(2000).normal(size=(2000, 32))
     return {
-        "lloyd_200x32_seeded": ("lloyd 200x32, k=10, restarts=10", seeded(200)),
-        "lloyd_500x32_seeded": ("lloyd 500x32, k=10, restarts=10", seeded(500)),
+        "lloyd_200x32_seeded": ("lloyd 200x32, k=10, restarts=10", seeded(200), run_bytes),
+        "lloyd_500x32_seeded": ("lloyd 500x32, k=10, restarts=10", seeded(500), run_bytes),
         "lloyd_200x32_warm": (
             "lloyd 200x32, k=10, restarts=1, init = the seeded centroids of the points"
             " plus N(0, 0.05^2) noise",
-            lambda: result(*km.lloyd(warm_pts, 10, 0, restarts=1, init=init)),
+            lambda: km.lloyd(warm_pts, 10, 0, restarts=1, init=init),
+            run_bytes,
         ),
-        "assign_nearest_5000x32": (
-            "assign_nearest 5000x32, k=10",
-            lambda: km.assign_nearest(big, cents).labels.tobytes(),
+        "assign_nearest_5000x32": ("assign_nearest 5000x32, k=10", assign(5000), labels_bytes),
+        "assign_nearest_50000x32": ("assign_nearest 50000x32, k=10", assign(50000), labels_bytes),
+        "forward_full_backward_128x32": (
+            "diffnet.forward_full then backward, 128x32 (a desk SCFC step's 64 pairs),"
+            " encoder 32-256-32, predictor 32-64-32",
+            lambda: dn.backward(model, dn.forward_full(model, step_rows)[2], upstream),
+            np.ndarray.tobytes,
+        ),
+        "forward_encoder_2000x32": (
+            "diffnet.forward_encoder 2000x32 (every row of a desk workload), encoder 32-256-32",
+            lambda: dn.forward_encoder(model, all_rows),
+            np.ndarray.tobytes,
         ),
     }
 
@@ -75,14 +106,26 @@ def timed(call) -> float:
     return statistics.median(times)
 
 
+def peak_bytes(call) -> int:
+    """The `tracemalloc` peak over one call; tracing starts with the call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv) -> None:
     parent_src, change_src = argv[:2]
     rounds = int(argv[2]) if len(argv) > 2 else 21
     sides = {"parent": cases(load(parent_src, "fedclust_parent")),
              "change": cases(load(change_src, "fedclust_change"))}
-    for name, (_, call) in sides["parent"].items():
-        if call() != sides["change"][name][1]():
+    for name, (_, call, as_bytes) in sides["parent"].items():
+        if as_bytes(call()) != as_bytes(sides["change"][name][1]()):
             raise SystemExit(f"{name}: the two trees return different results")
+    peaks = {name: {side: peak_bytes(sides[side][name][1]) for side in sides}
+             for name in sides["parent"]}
     times = {name: {"parent": [], "change": []} for name in sides["parent"]}
     for r in range(rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
@@ -100,6 +143,8 @@ def main(argv) -> None:
             "change_median_s": statistics.median(change),
             "change_faster_rounds": sum(c < p for p, c in zip(parent, change)),
             "rounds": rounds,
+            "parent_peak_bytes": peaks[name]["parent"],
+            "change_peak_bytes": peaks[name]["change"],
         }
     print(json.dumps(out, indent=1))
 

@@ -12,7 +12,8 @@ step's rows. Every helper that takes a step's batches first splits a stacked
 
 `chain_rule_gradients` is diffnet.backward's chain rule written out layer by
 layer, down to the gradient w.r.t. the inputs, and it can inject a gradient
-at the latents, which backward cannot.
+at the latents, which backward cannot. It reads only the taps' layer inputs
+and recomputes each pre-activation from them and the weights.
 """
 
 import numpy as np
@@ -122,18 +123,22 @@ def chain_rule_gradients(model, taps, grad_pred, grad_latent=None):
     the inputs, from the predictor-output gradient plus, if given, a gradient
     injected at the latents."""
 
-    def chain(params, inputs, preacts, g):
+    def chain(params, inputs, g):
         grads = []
         for i in range(len(params.weights) - 1, -1, -1):
-            ds = g if i == len(params.weights) - 1 else g * (preacts[i] > 0.0)
+            ds = g
+            if i < len(params.weights) - 1:
+                # The ReLU mask from the pre-activation, recomputed from the
+                # layer's input and weights, not from the activation backward reads.
+                ds = g * (inputs[i] @ params.weights[i] + params.biases[i] > 0.0)
             grads[:0] = [inputs[i].T @ ds, ds.sum(axis=0)]
             g = ds @ params.weights[i].T
         return grads, g
 
-    pred_grads, gz = chain(model.predictor, taps.pred_inputs, taps.pred_preacts, grad_pred)
+    pred_grads, gz = chain(model.predictor, taps.pred_inputs, grad_pred)
     if grad_latent is not None:
         gz = gz + grad_latent
-    enc_grads, gx = chain(model.encoder, taps.enc_inputs, taps.enc_preacts, gz)
+    enc_grads, gx = chain(model.encoder, taps.enc_inputs, gz)
     return enc_grads + pred_grads, gx
 
 

@@ -1,5 +1,7 @@
 """Forward/backward/Adam checks against independent naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,31 @@ class TestForward:
         model.predictor.weights[0][:] = np.eye(3)
         model.predictor.biases[0][:] = 0.0
         np.testing.assert_array_equal(diffnet.forward_predictor(model, z), z)
+
+    def test_forward_encoder_memory_is_one_array_per_layer(self):
+        # 50,000 rows at the desk widths: the 256-wide hidden layer's one
+        # array is 98 MiB; keeping its pre-activation beside it took 220 MiB.
+        model = desk_model()
+        x = np.random.default_rng(0).normal(size=(50_000, 32))
+        tracemalloc.start()
+        try:
+            diffnet.forward_encoder(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
+
+    def test_passes_leave_their_arguments_unchanged(self):
+        # Forward writes bias and ReLU into its own products and backward
+        # masks its own gradients in place; neither touches what it is given.
+        model = make_model(seed=4)
+        rng = np.random.default_rng(4)
+        x, upstream = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        x0, upstream0 = x.copy(), upstream.copy()
+        _, _, taps = diffnet.forward_full(model, x)
+        diffnet.backward(model, taps, upstream)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(upstream, upstream0)
 
     def test_dimension_mismatch(self):
         model = make_model()

@@ -614,6 +614,35 @@ class TestRun:
             run(small_config(algorithm=algorithm), ds, split)
         assert calls == []
 
+    @staticmethod
+    def short_client_split():
+        """A 3-class, 4-dim mixture over three clients; client 1 has no rows."""
+        ds = datagen.gaussian_mixture(3, 20, 4, 8.0, seed=0)
+        return ds, FederatedSplit([np.arange(30), np.array([], dtype=int), np.arange(30, 60)])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_short_client_fails_before_training(self, algorithm, monkeypatch):
+        # A client that mines needs k rows. One without them is named by one
+        # SizeError before the k-FED bootstrap, whatever the algorithm.
+        ds, split = self.short_client_split()
+        calls = self.spy_training(monkeypatch)
+        with pytest.raises(SizeError, match="client 1 has 0 rows, fewer than k=3"):
+            run(small_config(algorithm=algorithm), ds, split)
+        assert calls == []
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC", "KFED"])
+    def test_short_disconnected_client_mines_only_standalone(self, algorithm):
+        # A disconnected client never mines in a server run; in a standalone
+        # run it mines k-means on its initial model's latents.
+        ds, split = self.short_client_split()
+        config = small_config(algorithm=algorithm, seed=2, disconnection_rate=0.4)
+        assert sample_disconnections(3, 0.4, federation._stream_seed(2, federation._S_CONN)) == {1}
+        assert run(config, ds, split).assignment.labels.shape == (ds.n,)
+        if algorithm != "KFED":
+            standalone = dataclasses.replace(config, algorithm=f"{algorithm}_standalone")
+            with pytest.raises(SizeError, match="client 1 has 0 rows"):
+                run(standalone, ds, split)
+
     def test_deterministic_records(self):
         ds, split = blob_fixture()
         a = run(small_config(), ds, split)

@@ -1,11 +1,13 @@
 """k-means checks against brute-force oracles and a sequential oracle."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from fedclust import kmeans
 from fedclust.errors import ContractError, ShapeError, SizeError
 from fedclust.kmeans import (
     Assignment,
@@ -542,3 +544,73 @@ class TestLloyd:
         # The k check runs before any work, even on points that fail their own checks.
         with pytest.raises(ContractError):
             lloyd(np.zeros(4), 0, seed=0)
+
+
+def _whole_nearest(points, centroids):
+    """Labels and per-point squared distances from one n x k x dim pass over
+    every point at once."""
+    d2 = _oracle_sq_dists(points, centroids)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(points)), labels]
+
+
+class TestBlocks:
+    """`_nearest` labels `_BLOCK` rows at a time; every result equals the
+    whole-array oracle byte for byte, across block boundaries."""
+
+    B = kmeans._BLOCK
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+    DIMS = [1, 2, 3, 9, 32, 33]
+
+    @staticmethod
+    def instance(n, dim, tied):
+        rng = np.random.default_rng(n * 100 + dim)
+        cents = rng.normal(size=(5, dim))
+        pts = rng.normal(size=(n, dim))
+        if tied:
+            # Centroids 3 and 4 repeat 1 and 0, and some points sit on them:
+            # every tie goes to the lower index.
+            cents[3], cents[4] = cents[1], cents[0]
+            pts[::7] = cents[rng.integers(5, size=len(pts[::7]))]
+        return pts, cents
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_assign_nearest_matches_whole_array(self, n, dim, tied):
+        pts, cents = self.instance(n, dim, tied)
+        want_labels, want_d2 = _whole_nearest(pts, cents)
+        labels, point_d2 = kmeans._nearest(pts, cents)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert point_d2.tobytes() == want_d2.tobytes()
+        out = assign_nearest(pts, CentroidSet(cents))
+        assert out.labels.tobytes() == want_labels.astype(np.int64).tobytes()
+        assert out.inertia == float(want_d2.sum())
+        if tied:
+            assert not np.isin(labels, [3, 4]).any()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lloyd_final_labeling_matches_whole_array(self, n, dim):
+        pts, _ = self.instance(n, dim, tied=False)
+        k = min(3, n)
+        cents, assignment = lloyd(pts, k, seed=0, restarts=2)
+        order = _oracle_canonical_order(pts)
+        labels_c, d2 = _whole_nearest(pts[order], cents.centroids)
+        labels = np.empty_like(labels_c)
+        labels[order] = labels_c
+        assert assignment.labels.tobytes() == labels.astype(np.int64).tobytes()
+        assert assignment.inertia == float(d2.sum())
+
+    def test_assign_nearest_memory_is_bounded(self):
+        # The temporary is _BLOCK x k x dim; labeling every row at once took
+        # about 126 MiB here (a k x n x dim difference array).
+        rng = np.random.default_rng(0)
+        pts, cents = rng.normal(size=(50_000, 32)), CentroidSet(rng.normal(size=(10, 32)))
+        tracemalloc.start()
+        try:
+            assign_nearest(pts, cents)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
