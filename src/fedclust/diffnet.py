@@ -9,13 +9,13 @@ linear. Loss layers provide gradients with respect to the network outputs;
 layer: bias and ReLU are written into the layer's matrix product, and
 backward masks a hidden layer's gradient where the next layer's input is > 0.
 
-A model keeps all of its parameters in one vector, `theta`: the encoder's
-layers, then the predictor's, each as its weight matrix and then its bias
-row. The layers' arrays are views into it. A gradient is one vector in the
-same layout, which `backward` fills layer by layer and returns (`unflatten`
-gives its per-layer views), and Adam's two moments are two more. An Adam
-update is therefore one fused pass over the vectors, a copy is one vector
-copy, and FedAvg is a weighted sum of vectors.
+A model is its parameters, one vector `theta`: the encoder's layers, then
+the predictor's, each as its weight matrix and then its bias row, which the
+layers' arrays view. A gradient is one vector in the same layout, which
+`backward` fills and returns (`unflatten` gives its per-layer views); Adam's
+two moments are the trainer's `AdamState`. An Adam update is one fused pass
+over the vectors, a copy is one vector copy, and FedAvg is a weighted sum of
+vectors. Inference runs `_BLOCK` rows at a time; `forward_full` does not.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import NumericError, ShapeError, StateError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_BLOCK = 256  # the rows an inference pass runs at a time
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -76,18 +77,14 @@ class MlpParams:
 @dataclass
 class SiameseModel:
     """Encoder + predictor parameters in one vector `theta` (zero when not
-    given), which `encoder` and `predictor` view, plus Adam moment vectors of
-    the same length (zero when built). The predictor maps the latent space to
-    itself: encoder output dim equals predictor input and output dims."""
+    given), which `encoder` and `predictor` view. The predictor maps the
+    encoder's latent space to itself."""
 
     encoder_spec: MlpSpec
     predictor_spec: MlpSpec
     theta: np.ndarray | None = None
     encoder: MlpParams = field(init=False)
     predictor: MlpParams = field(init=False)
-    adam_m: np.ndarray = field(init=False)
-    adam_v: np.ndarray = field(init=False)
-    adam_t: int = field(init=False, default=0)
 
     def __post_init__(self):
         enc, pred = self.encoder_spec, self.predictor_spec
@@ -104,7 +101,6 @@ class SiameseModel:
         n = 2 * (len(enc.layer_dims) - 1)
         self.encoder = MlpParams(arrays[0:n:2], arrays[1:n:2])
         self.predictor = MlpParams(arrays[n::2], arrays[n + 1::2])
-        self.adam_m, self.adam_v = np.zeros(size), np.zeros(size)
 
     def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a theta-shaped vector, one per parameter array, in order."""
@@ -125,8 +121,17 @@ class SiameseModel:
                 for i in range(len(block.weights)) for kind in "Wb"]
 
     def copy(self) -> "SiameseModel":
-        """Copy of the parameter vector, with fresh (zero) Adam state."""
+        """A model on a copy of the parameter vector."""
         return SiameseModel(self.encoder_spec, self.predictor_spec, self.theta.copy())
+
+
+@dataclass
+class AdamState:
+    """A trainer's Adam moments (zeros built by the first `adam_step`) and step count."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    t: int = 0
 
 
 @dataclass
@@ -187,16 +192,24 @@ def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
     return x
 
 
+def _infer(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The MLP's outputs for the rows of x, `_BLOCK` rows at a time; a last
+    row joins the block before it (a one-row product can round differently)."""
+    out = np.empty((len(x), params.weights[-1].shape[1]))
+    bounds = [*range(0, max(len(x) - 1, 1), _BLOCK), len(x)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = _mlp_forward(params, x[lo:hi])[0]
+    return out
+
+
 def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
     """Encode a batch row-wise: z = f(x)."""
-    z, _ = _mlp_forward(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
-    return z
+    return _infer(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
 
 
 def forward_predictor(model: SiameseModel, z) -> np.ndarray:
     """Map latent rows through the predictor: p = h(z)."""
-    p, _ = _mlp_forward(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
-    return p
+    return _infer(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
 
 
 def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardTaps]:
@@ -233,19 +246,21 @@ def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> n
     return grads
 
 
-def adam_step(model: SiameseModel, g: np.ndarray, lr: float) -> SiameseModel:
+def adam_step(model: SiameseModel, state: AdamState, g: np.ndarray, lr: float) -> SiameseModel:
     """One bias-corrected Adam update of the whole parameter vector by the
-    theta-layout gradient `g`, in place; returns the same model."""
+    theta-layout gradient `g` and of `state`, in place; returns the same model."""
     if g.shape != model.theta.shape:
         raise ShapeError(f"gradient shape {g.shape} != parameter vector shape {model.theta.shape}")
     if not np.isfinite(g).all():
         name = next(name for name, a in zip(model.param_names(), model.unflatten(g))
                     if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient entry in {name}")
-    model.adam_t += 1
-    bias1 = 1.0 - ADAM_BETA1**model.adam_t
-    bias2 = 1.0 - ADAM_BETA2**model.adam_t
-    m, v = model.adam_m, model.adam_v
+    if state.t == 0:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    state.t += 1
+    bias1 = 1.0 - ADAM_BETA1**state.t
+    bias2 = 1.0 - ADAM_BETA2**state.t
+    m, v = state.m, state.v
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps), each element through
     # the same operations in the same order, in two scratch vectors.

@@ -20,7 +20,7 @@ import numpy as np
 from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
-from .diffnet import MlpSpec, SiameseModel
+from .diffnet import AdamState, MlpSpec, SiameseModel
 from .errors import ConfigError, MetricError, ProtocolError, SizeError
 from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
 
@@ -111,13 +111,14 @@ class RunConfig:
 
 @dataclass
 class ClientState:
-    """One simulated device: a features-only view of its slice plus its model."""
+    """One simulated device: a features-only view of its slice, its model and Adam state."""
 
     client_id: int
     features: np.ndarray
-    model: SiameseModel
+    model: SiameseModel | None = None
     centroids: CentroidSet | None = None
     connected: bool = True
+    adam: AdamState | None = None
 
     @property
     def num_samples(self) -> int:
@@ -172,10 +173,10 @@ def sample_disconnections(m: int, rate: float, seed: int) -> set[int]:
 
 
 def disseminate(server: ServerState, clients: list[ClientState]) -> None:
-    """Replace every connected client's model with a deep copy of the global one."""
+    """Give every connected client a deep copy of the global model and no Adam state."""
     for client in clients:
         if client.connected:
-            client.model = server.global_model.copy()
+            client.model, client.adam = server.global_model.copy(), None
 
 
 def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
@@ -227,10 +228,8 @@ def _round_start(model: SiameseModel, targets: CentroidSet | None,
 def _mean_reports(reports: list[LossReport]) -> tuple[float | None, float | None, float | None]:
     if not reports:
         return None, None, None
-    c = float(np.mean([r.contrastive_term for r in reports]))
-    g = float(np.mean([r.regularizer_term for r in reports]))
-    t = float(np.mean([r.total for r in reports]))
-    return t, c, g
+    return tuple(float(np.mean([getattr(r, term) for r in reports]))
+                 for term in ("total", "contrastive_term", "regularizer_term"))
 
 
 def _predict(model: SiameseModel, x: np.ndarray) -> np.ndarray:
@@ -248,18 +247,19 @@ def local_round(
 ) -> tuple[SiameseModel, CentroidSet, list[LossReport]]:
     """One client's local phase: group, train, and mine k local centroids.
 
-    Grouping labels the local data with the nearest of `global_centroids`:
-    on the raw features when `raw_space` is set (the k-FED bootstrap rounds),
+    Grouping labels the local data with the nearest of `global_centroids`: on
+    the raw features when `raw_space` is set (the k-FED bootstrap rounds),
     otherwise in the latent space of `client.model` as the round starts (in
     `run`, the broadcast global model). Training minimizes the combined loss
-    with Adam; on the cluster-contrastive path each step centres the latent
-    targets on the mean latent of the step's batch rows, taken from the
+    with Adam on `client.adam` (a broadcast restarts it; a standalone client's
+    spans its rounds); on the cluster-contrastive path each step centres the
+    latent targets on the mean latent of the step's batch rows, taken from the
     step's own forward pass. Mining (`_mine`) runs k-means on the trained
-    encoder's latents as one Lloyd run from the targets in the latent space
-    of `client.model` as the round starts (`_round_start`): `global_centroids`
+    encoder's latents as one Lloyd run from the targets in the latent space of
+    `client.model` as the round starts (`_round_start`): `global_centroids`
     themselves in a latent round, or in a raw-space round their encoding by
-    that model, taken before training changes `client.model` in place. Only
-    a round without targets (SCFC's first) mines with seeded restarts.
+    that model, taken before training changes `client.model` in place. Only a
+    round without targets (SCFC's first) mines with seeded restarts.
 
     The regularized variants encode and predict every local row with the
     frozen `global_snapshot` once, as the round starts. A step reads its rows'
@@ -283,6 +283,7 @@ def local_round(
         global_p = diffnet.forward_predictor(global_snapshot, global_z)
 
     start = _round_start(client.model, global_centroids, raw_space)
+    client.adam = client.adam or AdamState()
     reports: list[LossReport] = []
     if config.cluster_contrastive:
         space = features if raw_space else global_z
@@ -313,7 +314,7 @@ def local_round(
                 report, grads = contrastive.combined_loss(
                     client.model, global_pred, batches, lam_eff, solo, center
                 )
-                diffnet.adam_step(client.model, grads, config.lr)
+                diffnet.adam_step(client.model, client.adam, grads, config.lr)
                 reports.append(report)
     else:
         steps = max(1, n_local // config.batch_max)
@@ -334,7 +335,7 @@ def local_round(
                 report, grads = contrastive.combined_loss(
                     client.model, global_pred, [ClusterBatch(pairs, 0)], lam_eff, None
                 )
-                diffnet.adam_step(client.model, grads, config.lr)
+                diffnet.adam_step(client.model, client.adam, grads, config.lr)
                 reports.append(report)
 
     centroids = _mine(
@@ -379,12 +380,8 @@ def _evaluate(
             scores.append(_scores(part.labels, dataset.labels[idx], latents))
     nmis, kappas, chs = zip(*scores)
     chs = [ch for ch in chs if ch is not None]
-    return (
-        Assignment(labels, inertia),
-        float(np.mean(nmis)),
-        float(np.mean(kappas)),
-        float(np.mean(chs)) if chs else None,
-    )
+    return (Assignment(labels, inertia), float(np.mean(nmis)), float(np.mean(kappas)),
+            float(np.mean(chs)) if chs else None)
 
 
 def _scores(
@@ -498,7 +495,7 @@ def run(
         ClientState(
             client_id=l,
             features=dataset.features[split.client_indices[l]],
-            model=server.global_model.copy(),
+            model=server.global_model.copy() if config.standalone else None,
             connected=l not in disconnected,
         )
         for l in range(m)
@@ -517,29 +514,32 @@ def run(
     for round_index in range(1, config.rounds + 1):
         raw_space = round_index <= raw_rounds
         if not config.standalone:
-            disseminate(server, clients)
             # Every connected client groups against the broadcast targets, and
             # the fusion starts from them in the broadcast model's space.
             broadcast = raw_fused if raw_space else server.global_centroids
             start = _round_start(server.global_model, broadcast, raw_space)
         round_reports: list[LossReport] = []
+        updates = []
         for client in connected:
-            if not config.standalone:
-                targets = broadcast
-            else:
+            if config.standalone:
                 targets = raw_targets[client.client_id] if raw_space else client.centroids
+            else:  # a server variant's client holds the broadcast only while it trains
+                disseminate(server, [client])
+                targets = broadcast
             client.model, client.centroids, reports = local_round(
                 client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
             round_reports.extend(reports)
+            if not config.standalone:  # the upload is then the trained model's only reference
+                updates.append(ClientUpdate(client.client_id, client.num_samples,
+                                            client.model, client.centroids))
+                client.model = client.adam = None
         if not config.standalone:
-            updates = [ClientUpdate(c.client_id, c.num_samples, c.model, c.centroids)
-                       for c in connected]
             server.global_model = aggregate_models(updates)
             server.global_centroids = aggregate_centroids(
                 updates, config, _S_FUSE, round_index, init=start
             )
-            del updates  # so the next broadcast frees the trained client models
+        del updates  # a round's uploads are freed once fused
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

@@ -22,8 +22,9 @@ the unconverged runs' centroids are one array, and a run that converges
 writes its centroids back and leaves it.
 
 Every exact squared distance is one expression, `_sq_dists`; only the Lloyd
-loop ranks its centroids by a BLAS expansion. Every labeling (`_nearest`)
-runs in blocks of rows, so its memory does not grow with the points.
+loop ranks its centroids by a BLAS expansion. Every labeling and every read
+of the points' residuals (`_nearest`) runs in blocks of rows, so its memory
+does not grow with the points.
 """
 
 from __future__ import annotations
@@ -80,24 +81,28 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray
     return np.einsum("knd,knd->kn", diff, diff)
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest-centroid labels (ties go to the lowest index) and each
-    point's squared distance to it, labeled `_BLOCK` rows at a time so that
-    the temporary is _BLOCK x k x dim however many points there are."""
-    labels, point_d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+def _nearest(points: np.ndarray, centroids: np.ndarray,
+             labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest-centroid labels (ties go to the lowest index), or the given
+    `labels`, and each point's squared distance to its labeled centroid, `_BLOCK`
+    rows at a time so that the temporary is _BLOCK x k x dim for any n."""
+    ranked, point_d2 = labels is None, np.empty(len(points))
+    labels = np.empty(len(points), dtype=np.intp) if ranked else labels
     for lo in range(0, len(points), _BLOCK):
-        d2 = _sq_dists(points[lo:lo + _BLOCK], centroids)
-        np.argmin(d2, axis=0, out=labels[lo:lo + _BLOCK])
-        np.min(d2, axis=0, out=point_d2[lo:lo + _BLOCK])
+        d2, block = _sq_dists(points[lo:lo + _BLOCK], centroids), labels[lo:lo + _BLOCK]
+        if ranked:
+            np.argmin(d2, axis=0, out=block)
+        point_d2[lo:lo + _BLOCK] = d2[block, np.arange(len(block))]
     return labels, point_d2
 
 
 # The Lloyd loop ranks centroids by a BLAS expansion of |x-c|^2 (the
 # per-point |x|^2 term is dropped), which may differ from the exact
 # `_sq_dists` on ties; a per-point squared distance in the loop (a reseed's
-# residuals, the trace's inertia history) is read from the exact matrix at
-# the ranked label. The ranking takes several runs' centroids stacked as
-# (runs, k, dim), returns (runs, n) and works in `out`, a (runs, n, k) array.
+# residuals, the trace's inertia history) is read from the exact distances
+# at the ranked label by `_nearest`. The ranking takes several runs'
+# centroids stacked as (runs, k, dim), returns (runs, n) and works in `out`,
+# a (runs, n, k) array.
 def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
     d2 = np.matmul(points, centroids.transpose(0, 2, 1), out=out)
     np.multiply(d2, 2.0, out=d2)
@@ -246,7 +251,6 @@ def _runs(
     count = len(centroids)
     tiled = np.tile(canon, (count, 1))
     scores = np.empty((count, n, k))
-    rows = np.arange(n)
     histories: list[list[float]] = [[] for _ in range(count)]
     # The runs that have not converged, and their centroids; a run that
     # converges writes its centroids back and leaves the batch.
@@ -256,7 +260,7 @@ def _runs(
         labels_c = _argmin_labels(canon, current, scores[:runs])
         if history:
             for r, cents, labels_r in zip(active, current, labels_c):
-                histories[r].append(float(_sq_dists(canon, cents)[labels_r, rows].sum()))
+                histories[r].append(float(_nearest(canon, cents, labels_r)[1].sum()))
 
         new_centroids, nonempty = _means(tiled, labels_c, current, work.reshape(count * n, dim))
         if not nonempty.all():
@@ -264,7 +268,7 @@ def _runs(
             # its assigned centroid; ties break toward canonical order. Only
             # such a run needs the points' residuals, so only it computes them.
             for i in np.flatnonzero(~nonempty.all(axis=1)):
-                residual = _sq_dists(canon, current[i])[labels_c[i], rows]
+                residual = _nearest(canon, current[i], labels_c[i])[1]
                 for c in np.flatnonzero(~nonempty[i]):
                     far = int(np.argmax(residual))
                     new_centroids[i, c] = canon[far]

@@ -235,6 +235,7 @@ def test_criterion_7_collapse_sentinel():
     boot_cents, _ = lloyd(latents, 2, seed=1)
     groups = assign_nearest(latents, boot_cents).labels
     rng = np.random.default_rng(13)
+    adam = diffnet.AdamState()
     for _ in range(200):
         batches = []
         for c in range(2):
@@ -247,7 +248,7 @@ def test_criterion_7_collapse_sentinel():
         _, grads = contrastive.combined_loss(
             model, None, batches, lam=0.0, center=contrastive.batch_center
         )
-        diffnet.adam_step(model, grads, lr=1e-3)
+        diffnet.adam_step(model, adam, grads, lr=1e-3)
 
     trained = diffnet.forward_encoder(model, dataset.features)
     min_var = float(trained.var(axis=0).min())

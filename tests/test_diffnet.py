@@ -136,6 +136,63 @@ class TestForward:
             diffnet.forward_predictor(model, np.zeros((2, 4)))
 
 
+def one_pass(params, x):
+    """Every row through the MLP in one stacked product per layer."""
+    a = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w + b
+        if i < len(params.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a
+
+
+class TestBlockedInference:
+    """`forward_encoder` and `forward_predictor` run `_BLOCK` rows at a time;
+    their outputs equal one pass over every row, byte for byte."""
+
+    B = diffnet._BLOCK
+
+    @pytest.mark.parametrize("latent", [4, 32])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_one_pass(self, n, latent):
+        model = make_model(enc_dims=(32, 256, latent), pred_dims=(latent, 64, latent), seed=n)
+        rng = np.random.default_rng(n + latent)
+        x, z = rng.normal(size=(n, 32)), rng.normal(size=(n, latent))
+        assert diffnet.forward_encoder(model, x).tobytes() == one_pass(model.encoder, x).tobytes()
+        assert diffnet.forward_predictor(model, z).tobytes() == one_pass(model.predictor, z).tobytes()
+
+    def test_no_one_row_block(self, monkeypatch):
+        # A row left alone would be a one-row product, which can round
+        # differently, so a last single row joins the block before it.
+        model = make_model()
+        sizes = []
+        inner = diffnet._mlp_forward
+
+        def spy(params, x):
+            sizes.append(len(x))
+            return inner(params, x)
+
+        monkeypatch.setattr(diffnet, "_mlp_forward", spy)
+        for n in (1, 2, self.B, self.B + 1, 2 * self.B + 1, 2 * self.B + 2):
+            sizes.clear()
+            diffnet.forward_encoder(model, np.ones((n, 4)))
+            assert sum(sizes) == n and (n == 1 or 1 not in sizes)
+            assert max(sizes) <= self.B + 1
+
+    def test_forward_encoder_memory_is_one_block(self):
+        # 50,000 rows at the desk widths: the 12.2 MiB output plus one block's
+        # layers; one pass over every row at once peaked at 110 MiB.
+        model = desk_model()
+        x = np.random.default_rng(0).normal(size=(50_000, 32))
+        tracemalloc.start()
+        try:
+            diffnet.forward_encoder(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = make_model()
@@ -231,8 +288,9 @@ class TestAdam:
     def test_zero_gradients_keep_parameters(self):
         model = make_model()
         before = [a.copy() for a in model.param_arrays()]
-        diffnet.adam_step(model, np.zeros_like(model.theta), lr=0.1)
-        assert model.adam_t == 1
+        state = diffnet.AdamState()
+        diffnet.adam_step(model, state, np.zeros_like(model.theta), lr=0.1)
+        assert state.t == 1
         for a, b in zip(model.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -241,7 +299,7 @@ class TestAdam:
         grads = np.zeros_like(model.theta)
         model.unflatten(grads)[0][0, 0] = 1.0
         start = model.param_arrays()[0][0, 0]
-        diffnet.adam_step(model, grads, lr=0.1)
+        diffnet.adam_step(model, diffnet.AdamState(), grads, lr=0.1)
         moved = start - model.param_arrays()[0][0, 0]
         assert abs(moved - 0.1) < 1e-8
 
@@ -252,21 +310,23 @@ class TestAdam:
         expected = [0.90000000099999999, 0.80041222971233739, 0.70158627450441421]
         model = make_model()
         model.param_arrays()[0][0, 0] = 1.0
+        state = diffnet.AdamState()
         for step in range(3):
             grads = np.zeros_like(model.theta)
             model.unflatten(grads)[0][0, 0] = model.param_arrays()[0][0, 0]
-            diffnet.adam_step(model, grads, lr=0.1)
+            diffnet.adam_step(model, state, grads, lr=0.1)
             assert abs(model.param_arrays()[0][0, 0] - expected[step]) < 1e-10
 
     def test_wrong_gradient_shape_rejected(self):
         model = make_model()
         before = model.theta.copy()
         size = model.theta.size
+        state = diffnet.AdamState()
         for grads in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size)),
                       np.zeros((size, 1))):
             with pytest.raises(ShapeError):
-                diffnet.adam_step(model, grads, lr=0.1)
-        assert model.adam_t == 0
+                diffnet.adam_step(model, state, grads, lr=0.1)
+        assert state.t == 0 and state.m is None
         assert model.theta.tobytes() == before.tobytes()
 
     def test_nonfinite_gradient_names_layer(self):
@@ -274,7 +334,7 @@ class TestAdam:
         grads = np.zeros_like(model.theta)
         model.unflatten(grads)[2][0, 0] = np.nan
         with pytest.raises(NumericError, match="encoder.W1"):
-            diffnet.adam_step(model, grads, lr=0.1)
+            diffnet.adam_step(model, diffnet.AdamState(), grads, lr=0.1)
 
     @pytest.mark.parametrize("dims", [
         ((32, 256, 32), (32, 64, 32)),  # the desk widths
@@ -286,13 +346,14 @@ class TestAdam:
         model = make_model(*dims, seed=6)
         start = [a.copy() for a in model.param_arrays()]
         steps = []
+        state = diffnet.AdamState()
         for _ in range(6):
             grads = random_gradients(model, rng)
             steps.append([g.copy() for g in model.unflatten(grads)])
-            diffnet.adam_step(model, grads, lr=3e-3)
+            diffnet.adam_step(model, state, grads, lr=3e-3)
             expected = reference_adam(start, steps, lr=3e-3)
             assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]
-        assert model.adam_t == 6
+        assert state.t == 6
 
     def test_training_stays_finite(self):
         # 100 steps on a fixed random objective with lr <= 0.01.
@@ -300,10 +361,11 @@ class TestAdam:
         model = make_model()
         x = rng.normal(size=(8, 4))
         direction = rng.normal(size=(8, 3))
+        state = diffnet.AdamState()
         for _ in range(100):
             _, p, taps = diffnet.forward_full(model, x)
             grads = diffnet.backward(model, taps, direction)
-            diffnet.adam_step(model, grads, lr=0.01)
+            diffnet.adam_step(model, state, grads, lr=0.01)
         assert all(np.isfinite(a).all() for a in model.param_arrays())
 
 
@@ -313,7 +375,8 @@ class TestFlatLayout:
         arrays = model.param_arrays()
         assert np.concatenate([a.ravel() for a in arrays]).tobytes() == model.theta.tobytes()
         assert model.theta.shape == (4 * 8 + 8 + 8 * 3 + 3 + 3 * 5 + 5 + 5 * 3 + 3,)
-        assert model.adam_m.shape == model.adam_v.shape == model.theta.shape
+        # A model is its parameter vector: no optimizer state rides along.
+        assert [k for k, v in vars(model).items() if isinstance(v, np.ndarray)] == ["theta"]
         for a in arrays + model.encoder.weights + model.predictor.biases:
             assert np.shares_memory(a, model.theta)
 
@@ -329,13 +392,13 @@ class TestFlatLayout:
 
     def test_copy_owns_its_vectors(self):
         model = make_model()
-        diffnet.adam_step(model, random_gradients(model, np.random.default_rng(1)), lr=0.1)
+        state = diffnet.AdamState()
+        diffnet.adam_step(model, state, random_gradients(model, np.random.default_rng(1)), lr=0.1)
+        assert state.m.shape == state.v.shape == model.theta.shape
         twin = model.copy()
         assert twin.theta.tobytes() == model.theta.tobytes()
-        assert twin.adam_t == 0 and not twin.adam_m.any() and not twin.adam_v.any()
-        for mine in (model.theta, model.adam_m, model.adam_v):
-            for theirs in (twin.theta, twin.adam_m, twin.adam_v):
-                assert not np.shares_memory(mine, theirs)
+        for mine in (model.theta, state.m, state.v):
+            assert not np.shares_memory(mine, twin.theta)
         twin.param_arrays()[0][...] = 7.0
         assert not (model.theta == 7.0).any()
 
@@ -387,11 +450,12 @@ class TestDeterminism:
         def train():
             model = make_model(seed=42)
             rng = np.random.default_rng(11)
+            state = diffnet.AdamState()
             for _ in range(10):
                 x = rng.normal(size=(5, 4))
                 _, p, taps = diffnet.forward_full(model, x)
                 grads = diffnet.backward(model, taps, np.ones_like(p))
-                diffnet.adam_step(model, grads, lr=0.005)
+                diffnet.adam_step(model, state, grads, lr=0.005)
             return model
 
         a, b = train(), train()
@@ -407,8 +471,9 @@ class TestKernelBenchmarks:
         model = desk_model()
         grads = random_gradients(model, np.random.default_rng(3))
         start = [a.copy() for a in model.param_arrays()]
-        benchmark.pedantic(diffnet.adam_step, args=(model, grads, 3e-3), rounds=300)
-        steps = [model.unflatten(grads)] * model.adam_t
+        state = diffnet.AdamState()
+        benchmark.pedantic(diffnet.adam_step, args=(model, state, grads, 3e-3), rounds=300)
+        steps = [model.unflatten(grads)] * state.t
         expected = reference_adam(start, steps, lr=3e-3)
-        assert model.adam_t == (1 if benchmark.disabled else 300)  # disabled: one call
+        assert state.t == (1 if benchmark.disabled else 300)  # disabled: one call
         assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]

@@ -2,6 +2,7 @@
 degeneracies, device failures, determinism, and the privacy boundary."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -102,12 +103,14 @@ class TestDisseminate:
         clients[2].connected = False
         server = ServerState(model)
         disseminate(server, clients)
-        owners = [server.global_model] + [c.model for c in clients if c.connected]
-        for i, a in enumerate(owners):
-            for b in owners[i + 1:]:
-                for mine in (a.theta, a.adam_m, a.adam_v):
-                    for theirs in (b.theta, b.adam_m, b.adam_v):
-                        assert not np.shares_memory(mine, theirs)
+        targets, _ = lloyd(ds.features, config.k, seed=3, restarts=2)
+        connected = [c for c in clients if c.connected]
+        for client in connected:  # each builds its Adam state as it trains
+            local_round(client, model, targets, config, round_index=1, raw_space=True)
+        vectors = [model.theta] + [v for c in connected for v in (c.model.theta, c.adam.m, c.adam.v)]
+        for i, a in enumerate(vectors):
+            for b in vectors[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_snapshot_survives_local_mutation(self):
         ds, split = blob_fixture()
@@ -518,9 +521,14 @@ class TestMiningSchedule:
         inner_fuse, inner_lloyd = federation.aggregate_centroids, federation.lloyd
         inner_round, inner_disseminate = federation.local_round, federation.disseminate
         fusing = []
+        sent = []  # the server's global model at each round's broadcast
 
         def disseminate_spy(server, clients):
-            broadcasts.append([server.global_model.copy(), server.global_centroids, []])
+            # A round's broadcast reaches each client just before it trains.
+            assert len(clients) == 1
+            if not sent or sent[-1] is not server.global_model:
+                sent.append(server.global_model)
+                broadcasts.append([server.global_model.copy(), server.global_centroids, []])
             return inner_disseminate(server, clients)
 
         def round_spy(client, snapshot, targets, cfg, round_index, raw_space=False):
@@ -695,6 +703,133 @@ EVALUATION_CASES = [(name, 0.0) for name in ALGORITHMS] + [
     ("CCFC_standalone", 0.34),
     ("SCFC_standalone", 0.34),
 ]
+
+
+class TestTrainingState:
+    """A model is its parameters; Adam state is the trainer's. A server
+    variant's client holds the broadcast and an Adam state only while it
+    trains; a standalone client keeps both across its rounds."""
+
+    @staticmethod
+    def spy(monkeypatch, on_round=None, on_evaluate=None):
+        """Call `on_round(client, phase)` at each local round's entry and exit
+        and `on_evaluate(clients)` at each evaluation."""
+
+        def round_spy(client, *args, inner=federation.local_round, **kwargs):
+            on_round(client, "entry")
+            out = inner(client, *args, **kwargs)
+            on_round(client, "exit")
+            return out
+
+        def evaluate_spy(config, server, clients, *args, inner=federation._evaluate):
+            on_evaluate(clients)
+            return inner(config, server, clients, *args)
+
+        if on_round:
+            monkeypatch.setattr(federation, "local_round", round_spy)
+        if on_evaluate:
+            monkeypatch.setattr(federation, "_evaluate", evaluate_spy)
+
+    @pytest.mark.parametrize("algorithm", ["CCFC_standalone", "SCFC_standalone"])
+    def test_standalone_state_spans_rounds(self, algorithm, monkeypatch):
+        ds, split = blob_fixture()
+        seen = {}  # client id -> per round: (t, m, v) at entry, then at exit
+
+        def on_round(client, phase):
+            adam = client.adam
+            seen.setdefault(client.client_id, []).append(
+                None if adam is None else (adam.t, adam.m.copy(), adam.v.copy()))
+
+        self.spy(monkeypatch, on_round)
+        rounds = 3
+        run(small_config(algorithm=algorithm, rounds=rounds), ds, split)
+        assert len(seen) == split.num_clients
+        for states in seen.values():
+            assert len(states) == 2 * rounds and states[0] is None
+            steps = states[1][0]
+            assert steps > 0
+            for r in range(rounds):
+                assert states[2 * r + 1][0] == (r + 1) * steps
+            for exit_, entry in zip(states[1::2], states[2::2]):
+                # The next round starts from the moments the last one left.
+                assert entry[0] == exit_[0]
+                assert entry[1].tobytes() == exit_[1].tobytes() and entry[1].any()
+                assert entry[2].tobytes() == exit_[2].tobytes() and entry[2].any()
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_server_state_restarts_at_every_broadcast(self, algorithm, monkeypatch):
+        ds, split = blob_fixture()
+        steps = []
+
+        def on_round(client, phase):
+            if phase == "entry":  # the copy was made for this client just now
+                assert client.adam is None
+                assert (client.client_id, client.model.theta.tobytes()) == broadcast[-1]
+            else:
+                steps.append(client.adam.t)
+
+        broadcast = []
+        inner = federation.disseminate
+
+        def disseminate_spy(server, clients):
+            (client,) = clients
+            broadcast.append((client.client_id, server.global_model.theta.tobytes()))
+            return inner(server, clients)
+
+        monkeypatch.setattr(federation, "disseminate", disseminate_spy)
+        self.spy(monkeypatch, on_round)
+        run(small_config(algorithm=algorithm, rounds=3), ds, split)
+        assert len(steps) == 3 * split.num_clients
+        assert steps[0] > 0 and set(steps) == {steps[0]}
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_server_round_holds_one_training_state(self, algorithm, monkeypatch):
+        # Each client builds its copy as it trains and drops it at upload, so
+        # a round never holds more than one Adam state, and once the uploads
+        # are fused no trained client model is left.
+        ds, split = blob_fixture(m=4)
+        states, models = [], []
+        evaluations = []
+
+        def on_round(client, phase):
+            if phase == "entry":
+                assert all(s() is None for s in states)
+            else:
+                states.append(weakref.ref(client.adam))
+                models.append(weakref.ref(client.model))
+
+        def on_evaluate(clients):
+            assert all(c.model is None and c.adam is None for c in clients)
+            assert all(s() is None for s in states) and all(m() is None for m in models)
+            evaluations.append(len(models))
+
+        self.spy(monkeypatch, on_round, on_evaluate)
+        run(small_config(algorithm=algorithm, rounds=2), ds, split)
+        assert evaluations == [4, 8]
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_disconnected_client_never_gets_a_model(self, algorithm, monkeypatch):
+        ds, split = blob_fixture(m=3)
+        config = small_config(algorithm=algorithm, disconnection_rate=0.34, rounds=2)
+        (dropped,) = federation.sample_disconnections(
+            3, config.disconnection_rate, federation._stream_seed(config.seed, federation._S_CONN))
+        trained, evaluations = [], 0
+        inner = federation.disseminate
+
+        def disseminate_spy(server, clients):
+            assert all(c.client_id != dropped for c in clients)
+            return inner(server, clients)
+
+        def on_evaluate(clients):
+            nonlocal evaluations
+            assert not clients[dropped].connected and clients[dropped].model is None
+            evaluations += 1
+
+        monkeypatch.setattr(federation, "disseminate", disseminate_spy)
+        self.spy(monkeypatch, lambda client, phase: trained.append(client.client_id), on_evaluate)
+        run(config, ds, split)
+        assert dropped not in trained and len(trained) == 2 * 2 * 2
+        assert evaluations == 2
 
 
 class TestEvaluation:

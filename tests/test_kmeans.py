@@ -614,3 +614,58 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @staticmethod
+    def whole_nearest(points, centroids, labels=None):
+        """`_nearest` from one k x n x dim distance array over every point."""
+        d2 = kmeans._sq_dists(points, centroids)
+        labels = np.argmin(d2, axis=0) if labels is None else labels
+        return labels, d2[labels, np.arange(len(points))]
+
+    @pytest.mark.parametrize("dim", [1, 3, 9, 32, 33])
+    @pytest.mark.parametrize("n", [B - 1, B + 1, 3 * B + 7])
+    def test_reseeds_match_whole_array(self, n, dim, monkeypatch):
+        # A far centroid and a repeated one lose every point on the first
+        # step, so the run reads its residuals to reseed them; `lloyd_trace`
+        # also reads every step's inertia. Both equal the whole-array reads.
+        pts, cents = self.instance(n, dim, tied=False)
+        cents[3], cents[4] = 1000.0, cents[0]
+        init = CentroidSet(cents)
+
+        def fits():
+            return lloyd(pts, 5, 0, restarts=1, init=init), lloyd_trace(pts, 5, 0, init=init)
+
+        reseeds = []
+        blocked = kmeans._nearest
+
+        def spy(points, centroids, labels=None):
+            reseeds.append(labels is not None)
+            return blocked(points, centroids, labels)
+
+        monkeypatch.setattr(kmeans, "_nearest", spy)
+        (cents_a, assign_a), (cents_b, assign_b, history) = fits()
+        assert any(reseeds)
+        monkeypatch.setattr(kmeans, "_nearest", self.whole_nearest)
+        (want_a, want_assign_a), (want_b, want_assign_b, want_history) = fits()
+        assert_same_run(cents_a, assign_a, (want_a.centroids, want_assign_a.labels, want_assign_a.inertia))
+        assert_same_run(cents_b, assign_b, (want_b.centroids, want_assign_b.labels, want_assign_b.inertia))
+        assert history == want_history
+
+    def test_reseed_memory_is_bounded(self):
+        # A reseed reads the residuals one block at a time: with a centroid
+        # far from every point, `lloyd` from `init` peaked at 167 MiB when it
+        # read them from a k x n x dim array, 43 MiB with the centroids near.
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(50_000, 32))
+        peaks = []
+        for far in (False, True):
+            init = pts[:10].copy()
+            if far:
+                init[0] = 1000.0
+            tracemalloc.start()
+            try:
+                lloyd(pts, 10, 0, restarts=1, init=CentroidSet(init))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
