@@ -21,13 +21,14 @@ arithmetic on them.
 
 The latent targets may be centred: combined_loss subtracts a centre c from
 every target, so each prediction is pulled toward z_j - c instead of z_j.
-Training passes `batch_center`, which combined_loss applies to the latents of
-its own forward pass, so c is the mean latent of the step's batch rows, as
-DINO centres its teacher outputs (arXiv 2104.14294). Uncentred, every target
-shares the common mean component of the latents, and aligning all predictions
-with that one direction lowers the loss for every cluster at once, so
-training drives the latents onto a single direction. Centring removes that
-shared component and leaves the differences between clusters as the targets.
+Training passes `batch_center`, chosen in `federation._cluster_steps` alone,
+which combined_loss applies to the latents of its own forward pass, so c is
+the mean latent of the step's batch rows, as DINO centres its teacher outputs
+(arXiv 2104.14294). Uncentred, every target shares the common mean component
+of the latents, and aligning all predictions with that one direction lowers
+the loss for every cluster at once, so training drives the latents onto a
+single direction. Centring removes that shared component and leaves the
+differences between clusters as the targets.
 """
 
 from __future__ import annotations

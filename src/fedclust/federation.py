@@ -237,6 +237,56 @@ def _predict(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     return diffnet.forward_predictor(model, diffnet.forward_encoder(model, x))
 
 
+def _cluster_steps(features: np.ndarray, labels: np.ndarray, config: RunConfig,
+                   rng: np.random.Generator, global_p: np.ndarray | None):
+    """The cluster-contrastive steps, drawn lazily from `rng` as `combined_loss`'s
+    (batches, global_pred, solo, center). Each samples min(batch_max, size)
+    rows of every group of two or more, max(1, round(n / rows per step))
+    steps an epoch. Lone rows join only the regularizer (`solo`), so a client
+    without a group of two takes max(1, n // batch_max) regularizer steps an
+    epoch, or none at lambda 0 (`global_p` None). The centre is the mean
+    latent of the step's batch rows, from its own forward pass."""
+    groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+    takes = {c: min(config.batch_max, len(ix)) for c, ix in groups.items() if len(ix) >= 2}
+    solo_idx = np.array(sorted(int(ix[0]) for ix in groups.values() if len(ix) == 1), np.int64)
+    per_step = sum(takes.values())
+    steps = (max(1, round(len(features) / per_step)) if per_step
+             else max(1, len(features) // config.batch_max) if global_p is not None else 0)
+    solo = features[solo_idx] if len(solo_idx) and global_p is not None else None
+    for _ in range(config.local_epochs * steps):
+        rows = [np.sort(rng.choice(groups[c], take, replace=False)) for c, take in takes.items()]
+        batches = [ClusterBatch(features[sel], c) for sel, c in zip(rows, takes)]
+        global_pred = None if global_p is None else global_p[np.concatenate(rows + [solo_idx])]
+        center = contrastive.batch_center if batches else None
+        yield batches, global_pred, solo, center
+        del batches, global_pred  # released before the next step is drawn
+
+
+def _pair_steps(features: np.ndarray, config: RunConfig, rng: np.random.Generator,
+                global_snapshot: SiameseModel | None, global_p: np.ndarray | None):
+    """SCFC's steps, drawn lazily from `rng` as `combined_loss`'s arguments:
+    max(1, n // batch_max) an epoch, each min(batch_max, n) rows stacked with
+    their augmented views, with no solo rows and no centre. The rows' global
+    predictions come from `global_p`, and only the views' from
+    `global_snapshot`: at the desk widths a matrix product gives each row the
+    same bits whatever it is stacked with, except in a one-row product, so a
+    one-row client's step encodes its row and view as one pair."""
+    n_local = len(features)
+    take = min(config.batch_max, n_local)
+    for _ in range(config.local_epochs * max(1, n_local // config.batch_max)):
+        sel = np.sort(rng.choice(n_local, size=take, replace=False))
+        views = datagen.augment(features[sel], config.augment_strength,
+                                seed=int(rng.integers(2**32)))
+        pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
+        global_pred = None
+        if global_p is not None and take > 1:
+            view_pred = _predict(global_snapshot, views)
+            global_pred = np.stack((global_p[sel], view_pred), axis=1).reshape(2 * take, -1)
+        elif global_p is not None:
+            global_pred = _predict(global_snapshot, pairs.reshape(2, -1))
+        yield [ClusterBatch(pairs, 0)], global_pred, None, None
+
+
 def local_round(
     client: ClientState,
     global_snapshot: SiameseModel | None,
@@ -247,101 +297,49 @@ def local_round(
 ) -> tuple[SiameseModel, CentroidSet, list[LossReport]]:
     """One client's local phase: group, train, and mine k local centroids.
 
-    Grouping labels the local data with the nearest of `global_centroids`: on
-    the raw features when `raw_space` is set (the k-FED bootstrap rounds),
-    otherwise in the latent space of `client.model` as the round starts (in
-    `run`, the broadcast global model). Training minimizes the combined loss
-    with Adam on `client.adam` (a broadcast restarts it; a standalone client's
-    spans its rounds); on the cluster-contrastive path each step centres the
-    latent targets on the mean latent of the step's batch rows, taken from the
-    step's own forward pass. Mining (`_mine`) runs k-means on the trained
-    encoder's latents as one Lloyd run from the targets in the latent space of
-    `client.model` as the round starts (`_round_start`): `global_centroids`
-    themselves in a latent round, or in a raw-space round their encoding by
-    that model, taken before training changes `client.model` in place. Only a
-    round without targets (SCFC's first) mines with seeded restarts.
-
-    The regularized variants encode and predict every local row with the
-    frozen `global_snapshot` once, as the round starts. A step reads its rows'
-    global predictions from there, and a latent round groups on those
-    latents (`client.model` equals the snapshot then). SCFC steps encode only
-    their augmented views with the snapshot. At the desk widths a matrix
-    product gives each row the same bits whatever rows it is stacked with,
-    except in a one-row product, so these match a pass over the step's own
-    rows; a one-row client's SCFC step, whose pass is its row and its view,
-    encodes that pair directly.
+    (1) The regularized variants encode and predict every row with the
+    frozen `global_snapshot` once, and `_round_start` takes the targets
+    mining starts from, before training changes `client.model` in place.
+    (2) Grouping (cluster-contrastive only) labels the rows with the nearest
+    of `global_centroids`: on the raw features in a `raw_space` round (the
+    k-FED bootstrap rounds), otherwise on the latents of `client.model` as
+    the round starts (in `run`, the broadcast model, whose latents the
+    snapshot's pass already holds). (3) Training takes one Adam step on
+    `client.adam` (a broadcast restarts it; a standalone client's spans its
+    rounds) per draw of `_cluster_steps` or `_pair_steps`. (4) `_mine` runs
+    one Lloyd run on the trained latents from those targets, or seeded
+    restarts without them (SCFC's first round).
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, _S_LOCAL, round_index, client.client_id))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (config.seed, _S_LOCAL, round_index, client.client_id)))
     features = client.features
-    n_local = features.shape[0]
     lam_eff = config.lam if config.regularized else 0.0
     global_z = global_p = None
     if lam_eff > 0:
         global_z = diffnet.forward_encoder(global_snapshot, features)
         global_p = diffnet.forward_predictor(global_snapshot, global_z)
-
     start = _round_start(client.model, global_centroids, raw_space)
-    client.adam = client.adam or AdamState()
-    reports: list[LossReport] = []
+
     if config.cluster_contrastive:
         space = features if raw_space else global_z
         if space is None:
             space = diffnet.forward_encoder(client.model, features)
         labels = assign_nearest(space, global_centroids).labels
-        groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-        eligible = sorted(c for c, ix in groups.items() if len(ix) >= 2)
-        solo_idx = np.array(
-            sorted(int(ix[0]) for c, ix in groups.items() if len(ix) == 1), dtype=np.int64
-        )
-        per_step = sum(min(config.batch_max, len(groups[c])) for c in eligible)
-        steps = max(1, round(n_local / per_step)) if per_step else (
-            max(1, n_local // config.batch_max) if lam_eff > 0 else 0
-        )
-        for _ in range(config.local_epochs):
-            for _ in range(steps):
-                batches, rows = [], []
-                for c in eligible:
-                    ix = groups[c]
-                    take = min(config.batch_max, len(ix))
-                    sel = np.sort(rng.choice(ix, size=take, replace=False))
-                    batches.append(ClusterBatch(features[sel], c))
-                    rows.append(sel)
-                solo = features[solo_idx] if (len(solo_idx) and lam_eff > 0) else None
-                global_pred = global_p[np.concatenate(rows + [solo_idx])] if lam_eff > 0 else None
-                center = contrastive.batch_center if batches else None
-                report, grads = contrastive.combined_loss(
-                    client.model, global_pred, batches, lam_eff, solo, center
-                )
-                diffnet.adam_step(client.model, client.adam, grads, config.lr)
-                reports.append(report)
+        steps = _cluster_steps(features, labels, config, rng, global_p)
     else:
-        steps = max(1, n_local // config.batch_max)
-        for _ in range(config.local_epochs):
-            for _ in range(steps):
-                take = min(config.batch_max, n_local)
-                sel = np.sort(rng.choice(n_local, size=take, replace=False))
-                views = datagen.augment(
-                    features[sel], config.augment_strength, seed=int(rng.integers(2**32))
-                )
-                pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
-                global_pred = None
-                if lam_eff > 0 and take > 1:
-                    view_pred = _predict(global_snapshot, views)
-                    global_pred = np.stack((global_p[sel], view_pred), axis=1).reshape(2 * take, -1)
-                elif lam_eff > 0:
-                    global_pred = _predict(global_snapshot, pairs.reshape(2, -1))
-                report, grads = contrastive.combined_loss(
-                    client.model, global_pred, [ClusterBatch(pairs, 0)], lam_eff, None
-                )
-                diffnet.adam_step(client.model, client.adam, grads, config.lr)
-                reports.append(report)
+        steps = _pair_steps(features, config, rng, global_snapshot, global_p)
 
-    centroids = _mine(
-        config, diffnet.forward_encoder(client.model, features),
-        _S_LOCAL_KM, round_index, client.client_id, init=start,
-    )
+    client.adam = client.adam or AdamState()
+    reports: list[LossReport] = []
+    for batches, global_pred, solo, center in steps:
+        report, grads = contrastive.combined_loss(client.model, global_pred, batches, lam_eff,
+                                                  solo, center)
+        del batches, global_pred  # released before the next step is drawn
+        diffnet.adam_step(client.model, client.adam, grads, config.lr)
+        reports.append(report)
+
+    centroids = _mine(config, diffnet.forward_encoder(client.model, features),
+                      _S_LOCAL_KM, round_index, client.client_id, init=start)
     return client.model, centroids, reports
 
 

@@ -385,11 +385,11 @@ class TestRoundCache:
 
     @staticmethod
     def spy_steps(monkeypatch):
-        steps = []  # (global_pred, batches, solo_inputs) of every training step
+        steps = []  # (global_pred, batches, solo_inputs, center) of every training step
         inner = contrastive.combined_loss
 
         def spy(model, global_pred, batches, lam, solo_inputs=None, center=None):
-            steps.append((global_pred, batches, solo_inputs))
+            steps.append((global_pred, batches, solo_inputs, center))
             return inner(model, global_pred, batches, lam, solo_inputs, center)
 
         monkeypatch.setattr(contrastive, "combined_loss", spy)
@@ -398,7 +398,7 @@ class TestRoundCache:
     @staticmethod
     def assert_step_predictions(steps, snapshot):
         assert steps
-        for global_pred, batches, solo in steps:
+        for global_pred, batches, solo, _ in steps:
             assert global_pred.tobytes() == global_predictions(snapshot, batches, solo).tobytes()
 
     @pytest.mark.parametrize("raw_space", [True, False])
@@ -415,7 +415,8 @@ class TestRoundCache:
         targets = CentroidSet(np.vstack([near.centroids, space[-1:]]))
         steps = self.spy_steps(monkeypatch)
         local_round(client, model, targets, config, round_index=1, raw_space=raw_space)
-        assert all(solo is not None and len(solo) == 1 for _, _, solo in steps)
+        assert all(solo is not None and len(solo) == 1 for _, _, solo, _ in steps)
+        assert all(center is contrastive.batch_center for *_, center in steps)
         self.assert_step_predictions(steps, model)
 
     def test_scfc_steps(self, monkeypatch):
@@ -425,6 +426,7 @@ class TestRoundCache:
         steps = self.spy_steps(monkeypatch)
         local_round(clients[1], model, None, config, round_index=1)
         assert len(steps) == 2 * (clients[1].num_samples // config.batch_max)
+        assert all(center is None for *_, center in steps)
         self.assert_step_predictions(steps, model)
 
     @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
@@ -447,7 +449,54 @@ class TestRoundCache:
         steps = self.spy_steps(monkeypatch)
         targets, _ = lloyd(clients[0].features, config.k, seed=3, restarts=2)
         local_round(clients[0], model, targets, config, round_index=1, raw_space=True)
-        assert steps and all(global_pred is None for global_pred, _, _ in steps)
+        assert steps and all(global_pred is None for global_pred, *_ in steps)
+
+    @pytest.mark.parametrize("raw_space", [True, False])
+    def test_ccfc_steps_per_epoch_follow_the_groups(self, raw_space, monkeypatch):
+        # Groups of 1, 2, 5 and 17 rows around four far centres, batch_max 6:
+        # every step samples min(batch_max, size) rows of each group of two or
+        # more in label order, 13 rows, and an epoch takes
+        # max(1, round(25 / 13)) = 2 steps (not 1, nor 25 // 6 = 4).
+        ds, split = blob_fixture()
+        config = small_config(k=4, local_epochs=3, batch_max=6)
+        model, _ = make_clients(ds, split, config)
+        centres = 20.0 * np.eye(ds.dim)[: config.k]
+        sizes = [1, 2, 5, 17]
+        noise = np.random.default_rng(0).normal(scale=0.1, size=(sum(sizes), ds.dim))
+        client = ClientState(0, np.repeat(centres, sizes, axis=0) + noise, model.copy())
+        targets = CentroidSet(centres if raw_space else diffnet.forward_encoder(model, centres))
+        space = client.features if raw_space else diffnet.forward_encoder(model, client.features)
+        assert np.bincount(assign_nearest(space, targets).labels).tolist() == sizes
+        steps = self.spy_steps(monkeypatch)
+        _, _, reports = local_round(client, model, targets, config, round_index=1,
+                                    raw_space=raw_space)
+        assert len(steps) == len(reports) == config.local_epochs * 2
+        for _, batches, solo, center in steps:
+            assert [(b.cluster_id, len(b.rows)) for b in batches] == [(1, 2), (2, 5), (3, 6)]
+            assert solo.tobytes() == client.features[:1].tobytes()
+            assert center is contrastive.batch_center
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "CCFC_noreg"])
+    def test_all_singleton_groups_train_the_regularizer_only(self, algorithm, monkeypatch):
+        # k rows, each the nearest to itself: no group has two rows, so CCFC
+        # takes max(1, n // batch_max) regularizer steps an epoch on every
+        # row, and CCFC_noreg, with no regularizer, takes none.
+        ds, split = blob_fixture()
+        config = small_config(algorithm=algorithm, k=5, local_epochs=2, batch_max=2)
+        model, _ = make_clients(ds, split, config)
+        client = ClientState(0, ds.features[::25][:config.k].copy(), model.copy())
+        steps = self.spy_steps(monkeypatch)
+        trained, _, reports = local_round(client, model, CentroidSet(client.features), config,
+                                          round_index=1, raw_space=True)
+        if algorithm == "CCFC_noreg":
+            assert steps == [] and reports == []
+            assert trained.theta.tobytes() == model.theta.tobytes()
+            return
+        assert len(steps) == config.local_epochs * max(1, config.k // config.batch_max) == 4
+        for _, batches, solo, center in steps:
+            assert batches == [] and center is None
+            assert solo.tobytes() == client.features.tobytes()
+        assert all(r.contrastive_term == 0.0 and r.regularizer_term < 0 for r in reports)
 
 
 class TestMiningSchedule:
