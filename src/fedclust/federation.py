@@ -275,9 +275,9 @@ def _pair_steps(features: np.ndarray, config: RunConfig, rng: np.random.Generato
     take = min(config.batch_max, n_local)
     for _ in range(config.local_epochs * max(1, n_local // config.batch_max)):
         sel = np.sort(rng.choice(n_local, size=take, replace=False))
-        views = datagen.augment(features[sel], config.augment_strength,
-                                seed=int(rng.integers(2**32)))
-        pairs = np.stack((features[sel], views), axis=1)  # (take, 2, dim)
+        rows = features[sel]
+        views = datagen.augment(rows, config.augment_strength, seed=int(rng.integers(2**32)))
+        pairs = np.stack((rows, views), axis=1)  # (take, 2, dim)
         global_pred = None
         if global_p is not None and take > 1:
             view_pred = _predict(global_snapshot, views)

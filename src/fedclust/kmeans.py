@@ -24,7 +24,9 @@ writes its centroids back and leaves it.
 Every exact squared distance is one expression, `_sq_dists`; only the Lloyd
 loop ranks its centroids by a BLAS expansion. Every labeling and every read
 of the points' residuals (`_nearest`) runs in blocks of rows, so its memory
-does not grow with the points.
+does not grow with the points. A call holds one canonical copy of its
+points, and one (runs, n, dim) scratch array that the seeding and the means
+share.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _canonical(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         raise SizeError(f"need at least k={k} points, got {n}")
     order = _canonical_order(points)
-    return order, np.ascontiguousarray(points[order])
+    return order, points[order]
 
 
 def _seed(canon: np.ndarray, k: int, seeds, work: np.ndarray) -> np.ndarray:
@@ -207,11 +209,11 @@ def kmeanspp_init(points, k: int, seed: int) -> CentroidSet:
     return CentroidSet(_seed(canon, k, [seed], np.empty((1,) + canon.shape))[0])
 
 
-def _means(tiled: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.ndarray):
+def _means(canon: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.ndarray):
     """Each run's cluster means and which clusters have rows; an empty
-    cluster keeps its current centroid. `labels` is (runs, n), `tiled` the
-    canonical rows repeated once per run, and `out` a scratch array of its
-    shape. Each cluster's rows are summed in row order."""
+    cluster keeps its current centroid. `labels` is (runs, n) over the rows
+    of `canon`, and `out` a (runs * n, dim) scratch array. Each cluster's
+    rows are summed in row order."""
     runs, k, dim = current.shape
     groups = (labels + k * np.arange(runs)[:, None]).ravel()
     # The smallest integer type keeps the same stable order and lets numpy
@@ -220,7 +222,9 @@ def _means(tiled: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.n
     sizes = np.bincount(groups, minlength=runs * k)
     nonempty = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[nonempty]
-    rows = np.take(tiled, grouped, axis=0, out=out[:len(groups)], mode="clip")
+    # Key r * n + i is run r's row i, so each group takes its rows in row order.
+    rows = np.take(canon, np.remainder(grouped, len(canon), out=grouped), axis=0,
+                   out=out[:len(groups)], mode="clip")
     means = current.reshape(runs * k, dim).copy()
     means[nonempty] = np.add.reduceat(rows, starts, axis=0) / sizes[nonempty, None]
     return means.reshape(runs, k, dim), nonempty.reshape(runs, k)
@@ -236,20 +240,15 @@ def _runs(
     assignment step plus the final one (an empty list without)."""
     order, canon = _canonical(points, k)
     n, dim = canon.shape
+    if init is not None and init.centroids.shape != (k, dim):
+        raise ShapeError(
+            f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
+        )
     # Scratch arrays reused at every step: a fresh array of this size takes
     # longer to fault in than the arithmetic done on it.
-    if init is None:
-        work = np.empty((len(seeds), n, dim))
-        centroids = _seed(canon, k, seeds, work)
-    else:
-        if init.centroids.shape != (k, dim):
-            raise ShapeError(
-                f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
-            )
-        work = np.empty((1, n, dim))
-        centroids = init.centroids[None].copy()
+    work = np.empty((len(seeds) if init is None else 1, n, dim))
+    centroids = _seed(canon, k, seeds, work) if init is None else init.centroids[None].copy()
     count = len(centroids)
-    tiled = np.tile(canon, (count, 1))
     scores = np.empty((count, n, k))
     histories: list[list[float]] = [[] for _ in range(count)]
     # The runs that have not converged, and their centroids; a run that
@@ -262,7 +261,7 @@ def _runs(
             for r, cents, labels_r in zip(active, current, labels_c):
                 histories[r].append(float(_nearest(canon, cents, labels_r)[1].sum()))
 
-        new_centroids, nonempty = _means(tiled, labels_c, current, work.reshape(count * n, dim))
+        new_centroids, nonempty = _means(canon, labels_c, current, work.reshape(count * n, dim))
         if not nonempty.all():
             # Reseed each empty cluster to the point currently farthest from
             # its assigned centroid; ties break toward canonical order. Only

@@ -5,8 +5,9 @@
 Each tree's `fedclust` package is loaded under its own name, side by side.
 Every round times each case on both trees, alternating which goes first;
 a side's time in a round is the median of `REPS` calls. The `kmeans` cases
-take the inputs of tests/test_kmeans.py's TestKernelBenchmarks, plus
-`assign_nearest` at 50,000 rows; the `diffnet` cases run a desk SCFC step's
+take the inputs of tests/test_kmeans.py's TestKernelBenchmarks, plus a
+seeded `lloyd` at 300x128 (wide enough that its restarts' per-run arrays
+show in the peaks) and `assign_nearest` at 50,000 rows; the `diffnet` cases run a desk SCFC step's
 forward and backward pass (64 augmentation pairs, 128 rows) and encode the
 desk workloads' 2,000 rows. Each case checks that both trees return the
 same bytes, and records each side's `tracemalloc` peak over one call. Prints
@@ -55,8 +56,8 @@ def cases(package):
     def labels_bytes(assignment):
         return assignment.labels.tobytes() + np.float64(assignment.inertia).tobytes()
 
-    def seeded(n):
-        pts = np.random.default_rng(n).normal(size=(n, 32))
+    def seeded(n, dim=32):
+        pts = np.random.default_rng(n).normal(size=(n, dim))
         return lambda: km.lloyd(pts, 10, 0, restarts=10)
 
     def assign(n):
@@ -75,6 +76,7 @@ def cases(package):
     return {
         "lloyd_200x32_seeded": ("lloyd 200x32, k=10, restarts=10", seeded(200), run_bytes),
         "lloyd_500x32_seeded": ("lloyd 500x32, k=10, restarts=10", seeded(500), run_bytes),
+        "lloyd_300x128_seeded": ("lloyd 300x128, k=10, restarts=10", seeded(300, 128), run_bytes),
         "lloyd_200x32_warm": (
             "lloyd 200x32, k=10, restarts=1, init = the seeded centroids of the points"
             " plus N(0, 0.05^2) noise",

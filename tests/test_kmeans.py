@@ -669,3 +669,18 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
+
+    def test_restarts_hold_the_points_once(self):
+        # The batched restarts hold one (restarts, n, dim) scratch array, which
+        # the seeding and the means share: the peak reads about 1.5 of it,
+        # and a second such array (the rows copied once per restart) would
+        # put it near 2.5.
+        n, dim, restarts = 1000, 256, 10
+        pts = np.random.default_rng(0).normal(size=(n, dim))
+        tracemalloc.start()
+        try:
+            lloyd(pts, 10, 0, restarts=restarts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * restarts * n * dim * 8
