@@ -1,7 +1,7 @@
 """Federated training protocol: broadcast, local contrastive training, FedAvg
-parameter fusion, and two-level k-means centroid fusion, plus the raw-space
-KFED baseline, the sample-contrastive SCFC variants, standalone ablations, and
-device-failure simulation.
+parameter fusion (each upload folded in as it arrives), and two-level k-means
+centroid fusion, plus the raw-space KFED baseline, the sample-contrastive SCFC
+variants, standalone ablations, and device-failure simulation.
 
 Determinism: every random choice draws from a stream keyed on
 (seed, purpose, round, client), so results are independent of client
@@ -133,7 +133,8 @@ class ServerState:
 
 @dataclass
 class ClientUpdate:
-    """The only payload a client may upload: parameters (None in k-FED) and centroids."""
+    """The only payload a client may upload: parameters (None in k-FED, and
+    once folded into FedAvg) and centroids."""
 
     client_id: int
     num_samples: int
@@ -179,17 +180,22 @@ def disseminate(server: ServerState, clients: list[ClientState]) -> None:
             client.model, client.adam = server.global_model.copy(), None
 
 
-def aggregate_models(updates: list[ClientUpdate]) -> SiameseModel:
-    """Weighted sum of the parameter vectors in client order, weights
-    proportional to sample counts (renormalized over the clients present)."""
+def aggregate_models(updates: list[ClientUpdate], total: int | None = None,
+                     merged: SiameseModel | None = None) -> SiameseModel:
+    """FedAvg: fold the parameter vectors in client order into `merged` (in
+    place; without it, a copy of the first scaled), weighted by num_samples /
+    `total` (default: the uploads' own). One upload per call with the round's
+    total gives the whole-list result bit for bit."""
     if not updates:
         raise ProtocolError("cannot aggregate zero client updates")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    total = sum(u.num_samples for u in ordered)
-    merged = ordered[0].model.copy()
-    merged.theta *= ordered[0].num_samples / total
-    for update in ordered[1:]:
-        merged.theta += (update.num_samples / total) * update.model.theta
+    if total is None:
+        total = sum(u.num_samples for u in updates)
+    for update in sorted(updates, key=lambda u: u.client_id):
+        if merged is None:
+            merged = update.model.copy()
+            merged.theta *= update.num_samples / total
+        else:
+            merged.theta += (update.num_samples / total) * update.model.theta
     return merged
 
 
@@ -417,16 +423,18 @@ def run(
     they start without centroids. KFED is that raw-space bootstrap alone:
     it labels every row with its nearest fused centroid.
 
-    Each round then runs broadcast, local training, and aggregation. The
-    first R = ceil(rounds / 4) rounds group each client's data against the
-    raw-space k-FED centroids; later rounds group in the latent space against
-    the centroids fused in the round before. The randomly initialized
-    encoder is only a random map of the features, so grouping in its latent
-    space from the start feeds noise back into training; grouping in raw
-    space for too long only teaches the encoder k-FED's own mistakes, which
-    the latent space can correct. R is therefore a quarter of the schedule:
-    the encoder first learns the raw groups, and most of the run is left to
-    refine them in the latent space.
+    Each round then runs broadcast, local training, and aggregation. FedAvg
+    folds each trained model into the round's running model as it arrives,
+    so a round holds one uploaded model; only the centroid uploads wait for
+    the fusion. The first R = ceil(rounds / 4) rounds group each client's
+    data against the raw-space k-FED centroids; later rounds group in the
+    latent space against the centroids fused in the round before. The
+    randomly initialized encoder is only a random map of the features, so
+    grouping in its latent space from the start feeds noise back into
+    training; grouping in raw space for too long only teaches the encoder
+    k-FED's own mistakes, which the latent space can correct. R is therefore
+    a quarter of the schedule: the encoder first learns the raw groups, and
+    most of the run is left to refine them in the latent space.
 
     Every k-means of the protocol is `_mine`: a client's mining, and the
     server's fusion in `aggregate_centroids` of the uploads stacked in client
@@ -499,6 +507,7 @@ def run(
         for l in range(m)
     ]
     connected = [c for c in clients if c.connected]
+    total = sum(c.num_samples for c in connected)  # FedAvg's weights are n_l / total
 
     if config.standalone:
         # Disconnected clients never train, so their rows are labeled by
@@ -517,7 +526,7 @@ def run(
             broadcast = raw_fused if raw_space else server.global_centroids
             start = _round_start(server.global_model, broadcast, raw_space)
         round_reports: list[LossReport] = []
-        updates = []
+        updates, merged = [], None
         for client in connected:
             if config.standalone:
                 targets = raw_targets[client.client_id] if raw_space else client.centroids
@@ -528,16 +537,18 @@ def run(
                 client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
             round_reports.extend(reports)
-            if not config.standalone:  # the upload is then the trained model's only reference
-                updates.append(ClientUpdate(client.client_id, client.num_samples,
-                                            client.model, client.centroids))
-                client.model = client.adam = None
+            if not config.standalone:  # the trained model is folded into FedAvg, then dropped
+                upload = ClientUpdate(client.client_id, client.num_samples,
+                                      client.model, client.centroids)
+                merged = aggregate_models([upload], total, merged)
+                upload.model = client.model = client.adam = None
+                updates.append(upload)
         if not config.standalone:
-            server.global_model = aggregate_models(updates)
+            server.global_model = merged
             server.global_centroids = aggregate_centroids(
                 updates, config, _S_FUSE, round_index, init=start
             )
-        del updates  # a round's uploads are freed once fused
+        del updates  # a round's centroid uploads are freed once fused
 
         losses = _mean_reports(round_reports)
         evaluation = _evaluate(config, server, clients, dataset, split)

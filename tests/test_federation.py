@@ -2,6 +2,7 @@
 degeneracies, device failures, determinism, and the privacy boundary."""
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -177,6 +178,12 @@ class TestAggregateModels:
             assert [a.tobytes() for a in merged.param_arrays()] == [
                 r.tobytes() for r in reference
             ]
+            # A server folds one upload at a time, in client order, with the
+            # round's total: byte for byte the whole-list call.
+            folded = None
+            for update in updates:
+                folded = aggregate_models([update], total, folded)
+            assert folded.theta.tobytes() == merged.theta.tobytes()
 
     def test_zero_clients_rejected(self):
         with pytest.raises(ProtocolError):
@@ -855,6 +862,34 @@ class TestTrainingState:
         self.spy(monkeypatch, on_round, on_evaluate)
         run(small_config(algorithm=algorithm, rounds=2), ds, split)
         assert evaluations == [4, 8]
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_fusion_holds_one_uploaded_model(self, algorithm, monkeypatch):
+        # FedAvg folds each upload as it arrives, so when the centroids are
+        # fused the run holds the new global model, not one model per client.
+        # A wide hidden layer and 6 rows per client make a model outweigh
+        # every per-row array the run keeps.
+        ds, split = blob_fixture(n_per=16, m=8)
+        config = small_config(algorithm=algorithm, rounds=1, encoder_hidden=(2048,))
+        model_bytes = init_model(
+            MlpSpec((ds.dim, *config.encoder_hidden, config.latent_dim)),
+            MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim)), seed=0,
+        ).theta.nbytes
+        held = []
+        inner = federation.aggregate_centroids
+
+        def fusion_spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - entry)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "aggregate_centroids", fusion_spy)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run(config, ds, split)
+        finally:
+            tracemalloc.stop()
+        assert held and max(held) < 3 * model_bytes, (max(held), model_bytes)
 
     @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
     def test_disconnected_client_never_gets_a_model(self, algorithm, monkeypatch):
