@@ -81,6 +81,8 @@ class PartitionSpec:
             raise ConfigError(
                 f"samples_per_client must be >= 1, got {self.samples_per_client}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -113,37 +115,27 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> FederatedSplit:
     quota = int(round(p * s))
 
     rng = np.random.default_rng(spec.seed)
-    class_pools = []
-    for c in range(num_classes):
-        pool = np.flatnonzero(dataset.labels == c)
-        class_pools.append(list(rng.permutation(pool)))
-
-    demand = np.zeros(num_classes, dtype=np.int64)
-    for l in range(m):
-        demand[l % num_classes] += quota
-    for c in range(num_classes):
-        if demand[c] > len(class_pools[c]):
+    pools = [rng.permutation(np.flatnonzero(dataset.labels == c)) for c in range(num_classes)]
+    demand = quota * np.bincount(np.arange(m) % num_classes, minlength=num_classes)
+    for c, pool in enumerate(pools):
+        if demand[c] > len(pool):
             raise ConfigError(
-                f"class {c} has {len(class_pools[c])} samples but clients need "
+                f"class {c} has {len(pool)} samples but clients need "
                 f"{demand[c]} at heterogeneity {p}"
             )
 
-    clients: list[list[int]] = []
-    for l in range(m):
-        pool = class_pools[l % num_classes]
-        clients.append([int(pool.pop()) for _ in range(quota)])
-
-    leftovers = np.concatenate(
-        [np.array(pool, dtype=np.int64) for pool in class_pools if pool]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    leftovers = rng.permutation(leftovers)
+    # Client l takes its quota off the end of its class's pool, after the
+    # clients before it on that class, last row first; the rows no quota
+    # claims are shuffled and dealt out as the fills.
+    leftovers = rng.permutation(np.concatenate(
+        [pool[:len(pool) - claimed] for pool, claimed in zip(pools, demand)]))
     fill = s - quota
+    clients = []
     for l in range(m):
-        start = l * fill
-        clients[l].extend(int(i) for i in leftovers[start : start + fill])
-
-    return FederatedSplit([np.array(ix, dtype=np.int64) for ix in clients])
+        pool = pools[l % num_classes]
+        end = len(pool) - l // num_classes * quota
+        clients.append(np.concatenate([pool[end - quota:end][::-1], leftovers[l * fill:(l + 1) * fill]]))
+    return FederatedSplit(clients)
 
 
 def gaussian_mixture(
@@ -155,6 +147,8 @@ def gaussian_mixture(
         raise ConfigError("k, n_per and dim must all be >= 1")
     if separation < 0:
         raise ConfigError(f"separation must be >= 0, got {separation}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if k == 1 or separation == 0.0:
         means = np.zeros((k, dim))

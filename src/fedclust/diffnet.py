@@ -167,23 +167,6 @@ def _mlp_forward(params: MlpParams, x: np.ndarray):
     return a, inputs
 
 
-def _mlp_backward(params: MlpParams, inputs, grad_out: np.ndarray,
-                  grads_w: list[np.ndarray], grads_b: list[np.ndarray],
-                  input_grad: bool = True):
-    """Write the weight and bias gradients into `grads_w` and `grads_b`;
-    return the gradient w.r.t. the MLP's input when `input_grad` is set
-    (None otherwise)."""
-    last = len(params.weights) - 1
-    g = grad_out
-    for i in range(last, -1, -1):
-        if i < last:
-            g *= inputs[i + 1] > 0.0
-        np.matmul(inputs[i].T, g, out=grads_w[i])
-        g.sum(axis=0, out=grads_b[i])
-        g = g @ params.weights[i].T if i or input_grad else None
-    return g
-
-
 def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
     x = as_matrix(x, name)
     in_dim = params.weights[0].shape[0]
@@ -229,7 +212,8 @@ def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> n
     ):
         raise StateError("taps do not match the model's layer structure")
     weights = model.encoder.weights + model.predictor.weights
-    for cached, w in zip(taps.enc_inputs + taps.pred_inputs, weights):
+    inputs = taps.enc_inputs + taps.pred_inputs
+    for cached, w in zip(inputs, weights):
         if cached.shape[1] != w.shape[0]:
             raise StateError("taps are incongruent with the model (stale forward cache?)")
     out_shape = (len(taps.pred_inputs[0]), model.predictor_spec.out_dim)  # p's
@@ -238,11 +222,15 @@ def backward(model: SiameseModel, taps: ForwardTaps, grad_pred: np.ndarray) -> n
 
     grads = np.empty_like(model.theta)  # every entry is written below
     arrays = model.unflatten(grads)
-    n = 2 * len(model.encoder.weights)
-    gz = _mlp_backward(model.predictor, taps.pred_inputs, grad_pred,
-                       arrays[n::2], arrays[n + 1::2])
-    _mlp_backward(model.encoder, taps.enc_inputs, gz,
-                  arrays[0:n:2], arrays[1:n:2], input_grad=False)
+    linear = (len(taps.enc_inputs) - 1, len(inputs) - 1)  # each network's last layer
+    g = grad_pred
+    for i in reversed(range(len(inputs))):  # the predictor's layers, then the encoder's
+        if i not in linear:
+            g *= inputs[i + 1] > 0.0
+        np.matmul(inputs[i].T, g, out=arrays[2 * i])
+        g.sum(axis=0, out=arrays[2 * i + 1])
+        if i:  # the gradient w.r.t. the batch itself is not needed
+            g = g @ weights[i].T
     return grads
 
 

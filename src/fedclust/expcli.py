@@ -103,14 +103,15 @@ class _Field:
         return value
 
 
-SCHEMA: dict[str, dict[str, _Field]] = {
+# The config tree: sections of fields, then plain fields, in results.json's order.
+SCHEMA: dict[str, dict[str, _Field] | _Field] = {
     "dataset": {
         "type": _Field("synthetic", "str", choices=("synthetic", "fvd")),
         "components": _Field(10, "int", lo=1),
         "per_component": _Field(500, "int", lo=1),
         "dim": _Field(32, "int", lo=1),
         "separation": _Field(3.0, "number", lo=0.0),
-        "seed": _Field(7, "int"),
+        "seed": _Field(7, "int", lo=0),
         "path": _Field(None, "str"),
     },
     "run": {
@@ -137,25 +138,26 @@ SCHEMA: dict[str, dict[str, _Field]] = {
         "axis": _Field("none", "str", choices=SWEEP_AXES),
         "values": _Field([], "number", many=True),
     },
-}
-
-TOP_FIELDS: dict[str, _Field] = {
     "repeats": _Field(1, "int", lo=1),
-    "seed": _Field(0, "int"),
+    "seed": _Field(0, "int", lo=0),
 }
 
 
-def _validate_section(section: str, schema: dict, given: dict) -> dict:
-    out = {}
-    for key, value in given.items():
+def _validate(schema: dict, given: dict, prefix: str = "") -> dict:
+    """`given` checked against `schema` (a section, or the whole tree), with
+    defaults filled in; `prefix` is the dotted path of its keys."""
+    for key in given:
         if key not in schema:
-            raise ConfigError(f"unknown key '{section}.{key}'" if section else f"unknown key '{key}'")
-    for key, fld in schema.items():
-        path = f"{section}.{key}" if section else key
-        if key in given:
-            out[key] = fld.validate(path, given[key])
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    out = {}
+    for key, node in schema.items():
+        if isinstance(node, _Field):
+            out[key] = (node.validate(prefix + key, given[key]) if key in given
+                        else json.loads(json.dumps(node.default)))
+        elif isinstance(given.get(key, {}), dict):
+            out[key] = _validate(node, given.get(key, {}), f"{prefix}{key}.")
         else:
-            out[key] = json.loads(json.dumps(fld.default))
+            raise ConfigError(f"'{prefix}{key}' must be an object")
     return out
 
 
@@ -172,6 +174,8 @@ def parse_config(source=None, overrides: list[str] | None = None) -> dict:
             raw = json.loads(Path(source).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {source}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {source}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -195,15 +199,7 @@ def parse_config(source=None, overrides: list[str] | None = None) -> dict:
                 raise ConfigError(f"override {dotted!r}: {part!r} is not an object")
         node[parts[-1]] = value
 
-    top = _validate_section("", TOP_FIELDS, {k: v for k, v in raw.items() if k not in SCHEMA})
-    cfg = {}
-    for section, sub in SCHEMA.items():
-        given = raw.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"'{section}' must be an object")
-        cfg[section] = _validate_section(section, sub, given)
-    cfg.update(top)  # after the sections: results.json embeds cfg in this order
-
+    cfg = _validate(SCHEMA, raw)
     _cell(cfg, None)  # the sections' own values, which a sweep overrides
     if cfg["dataset"]["type"] == "fvd" and not cfg["dataset"]["path"]:
         raise ConfigError("dataset.path: required when dataset.type is 'fvd'")
@@ -376,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute an experiment grid")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--config", help="JSON config path (defaults apply if omitted)")
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted config override, e.g. run.lambda=0.5")
@@ -384,9 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace existing result files")
 
     p_sum = sub.add_parser("summarize", help="aggregate final rows of a results CSV")
+    p_sum.set_defaults(handler=_cmd_summarize)
     p_sum.add_argument("--in", dest="input", required=True, help="results.csv path")
 
     p_make = sub.add_parser("make-data", help="emit a synthetic Gaussian-mixture FVD file")
+    p_make.set_defaults(handler=_cmd_make_data)
     p_make.add_argument("--out", required=True)
     for key, kind in (("components", int), ("per_component", int), ("dim", int),
                       ("separation", float), ("seed", int)):
@@ -395,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--overwrite", action="store_true")
 
     p_conv = sub.add_parser("convert", help="convert a CSV dataset to FVD")
+    p_conv.set_defaults(handler=_cmd_convert)
     p_conv.add_argument("--in", dest="input", required=True)
     p_conv.add_argument("--out", required=True)
     p_conv.add_argument("--overwrite", action="store_true")
@@ -403,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, args.overrides)
-    _result_paths(args.out, args.overwrite)  # refuse before running the grid
+    _result_paths(args.out, args.overwrite)  # refuse before running the grid, and
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fail there on an unusable --out
     rows = run_experiment(cfg)
     csv_path, json_path = write_results(rows, cfg, args.out, args.overwrite)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
@@ -444,14 +445,8 @@ def _cmd_convert(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "summarize": _cmd_summarize,
-        "make-data": _cmd_make_data,
-        "convert": _cmd_convert,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

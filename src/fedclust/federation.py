@@ -74,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.local_epochs < 0:
             raise ConfigError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if self.batch_max < 2:

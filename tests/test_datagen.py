@@ -1,5 +1,6 @@
 """Partitioner, synthetic data, augmentation, and FVD/CSV format checks."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -28,6 +29,45 @@ def balanced_dataset(classes=3, per_class=30, dim=2, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), per_class)
     return LabeledDataset(rng.normal(size=(classes * per_class, dim)), labels, "fixture")
+
+
+def list_pop_partition(dataset, spec):
+    """The partitioner written with per-class Python lists that each quota
+    pops row ids off, kept as the oracle of `partition`'s indices and errors."""
+    num_classes = dataset.num_classes
+    m, s, p = spec.num_clients, spec.samples_per_client, spec.heterogeneity
+    if m * s > dataset.n:
+        raise SizeError(f"{m} clients x {s} samples exceeds dataset size {dataset.n}")
+    quota = int(round(p * s))
+    rng = np.random.default_rng(spec.seed)
+    class_pools = [list(rng.permutation(np.flatnonzero(dataset.labels == c)))
+                   for c in range(num_classes)]
+    demand = np.zeros(num_classes, dtype=np.int64)
+    for l in range(m):
+        demand[l % num_classes] += quota
+    for c in range(num_classes):
+        if demand[c] > len(class_pools[c]):
+            raise ConfigError(
+                f"class {c} has {len(class_pools[c])} samples but clients need "
+                f"{demand[c]} at heterogeneity {p}"
+            )
+    clients = [[int(class_pools[l % num_classes].pop()) for _ in range(quota)] for l in range(m)]
+    leftovers = np.concatenate(
+        [np.array(pool, dtype=np.int64) for pool in class_pools if pool]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    leftovers = rng.permutation(leftovers)
+    fill = s - quota
+    for l in range(m):
+        clients[l].extend(int(i) for i in leftovers[l * fill:(l + 1) * fill])
+    return [np.array(ix, dtype=np.int64) for ix in clients]
+
+
+def _outcome(fn, dataset, spec):
+    try:
+        return fn(dataset, spec)
+    except (ConfigError, SizeError) as exc:
+        return type(exc), str(exc)
 
 
 class TestPartition:
@@ -94,6 +134,31 @@ class TestPartition:
         for x, y in zip(a.client_indices, b.client_indices):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("classes", [1, 2, 3, 5])
+    @pytest.mark.parametrize("clients", [1, 2, 3, 4, 7])
+    def test_matches_list_pop_oracle(self, classes, clients):
+        # Values, dtype and error messages over sizes, p and seeds, including
+        # p=0, p=1, fewer clients than classes and quotas a class cannot meet;
+        # the class sizes are uneven so pools run dry at different points.
+        rng = np.random.default_rng(classes * 10 + clients)
+        labels = np.concatenate([np.arange(classes), rng.integers(0, classes, size=60)])
+        ds = LabeledDataset(rng.normal(size=(labels.size, 2)), labels, "uneven")
+        for size, p, seed in itertools.product((1, 4, 9, 20), (0.0, 0.3, 0.5, 0.75, 1.0), (0, 1, 2)):
+            spec = PartitionSpec(clients, p, size, seed=seed)
+            expected = _outcome(list_pop_partition, ds, spec)
+            got = _outcome(partition, ds, spec)
+            if isinstance(expected, tuple):
+                assert got == expected
+                continue
+            assert len(got.client_indices) == len(expected)
+            for ix, want in zip(got.client_indices, expected):
+                assert ix.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(ix, want)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            PartitionSpec(2, 0.5, 10, seed=-1)
+
 
 class TestGaussianMixture:
     def test_zero_separation_coincides(self):
@@ -120,6 +185,10 @@ class TestGaussianMixture:
         assert ds.features.shape == (100, 3)
         assert ds.num_classes == 4
         np.testing.assert_array_equal(np.bincount(ds.labels), [25] * 4)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            gaussian_mixture(2, 5, 2, 1.0, seed=-3)
 
 
 class TestAugment:

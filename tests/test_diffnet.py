@@ -245,16 +245,20 @@ class TestBackward:
     def test_matches_full_chain_rule_bitwise(self):
         # The chain rule written out layer by layer, down to the gradient
         # w.r.t. the inputs, which backward does not compute: every
-        # parameter gradient is bit for bit the same.
+        # parameter gradient is bit for bit the same, at the desk widths and
+        # with no and with two hidden layers on each side.
         rng = np.random.default_rng(17)
-        model = make_model(enc_dims=(32, 256, 32), pred_dims=(32, 64, 32), seed=4)
-        x = rng.normal(size=(130, 32))
-        z, p, taps = diffnet.forward_full(model, x)
-        upstream = rng.normal(size=p.shape)
-        expected, gx = chain_rule_gradients(model, taps, upstream)
-        assert gx.shape == x.shape
-        grads = diffnet.backward(model, taps, upstream)
-        assert [g.tobytes() for g in model.unflatten(grads)] == [g.tobytes() for g in expected]
+        for enc_dims, pred_dims in [((32, 256, 32), (32, 64, 32)), ((32, 32), (32, 32)),
+                                    ((32, 48, 40, 32), (32, 24, 16, 32))]:
+            model = make_model(enc_dims=enc_dims, pred_dims=pred_dims, seed=4)
+            x = rng.normal(size=(130, 32))
+            z, p, taps = diffnet.forward_full(model, x)
+            upstream = rng.normal(size=p.shape)
+            expected, gx = chain_rule_gradients(model, taps, upstream)
+            assert gx.shape == x.shape
+            grads = diffnet.backward(model, taps, upstream)
+            assert ([g.tobytes() for g in model.unflatten(grads)]
+                    == [g.tobytes() for g in expected]), (enc_dims, pred_dims)
 
     def test_gradient_is_a_theta_layout_vector(self):
         model = make_model()
@@ -281,6 +285,15 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(3, 5))
         _, p, taps = diffnet.forward_full(other, x)
         with pytest.raises(StateError):
+            diffnet.backward(model, taps, np.zeros_like(p))
+
+    def test_taps_of_another_encoder_predictor_split_rejected(self):
+        # The same three layer shapes, split 2+1 against 1+2: every cached
+        # input fits its weights, so only the layer counts tell them apart.
+        model = make_model(enc_dims=(4, 4), pred_dims=(4, 4, 4))
+        other = make_model(enc_dims=(4, 4, 4), pred_dims=(4, 4))
+        _, p, taps = diffnet.forward_full(other, np.random.default_rng(2).normal(size=(3, 4)))
+        with pytest.raises(StateError, match="layer structure"):
             diffnet.backward(model, taps, np.zeros_like(p))
 
 

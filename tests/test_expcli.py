@@ -148,9 +148,11 @@ class TestParseConfig:
             ({"repeats": "2"}, "repeats: expected an integer, got '2'"),
             ({"repeats": 0}, "repeats: must be >= 1, got 0"),
             ({"pizza": 1}, "unknown key 'pizza'"),
+            ({"run": 3}, "'run' must be an object"),
+            ({"run": {"pizza": 1}}, "unknown key 'run.pizza'"),
         ],
         ids=["int-or-null", "str-or-null", "int-list", "number-list", "number", "str",
-             "int", "int-lo", "unknown-top-key"],
+             "int", "int-lo", "unknown-top-key", "section-not-object", "unknown-section-key"],
     )
     def test_kind_error_message(self, config, message):
         with pytest.raises(ConfigError) as exc:
@@ -168,6 +170,8 @@ class TestParseConfig:
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(bad)
+        with pytest.raises(ConfigError, match="cannot read config file .*: Is a directory"):
+            parse_config(tmp_path)
 
 
 class TestRunExperiment:
@@ -361,6 +365,16 @@ class TestCli:
         assert cells == []
         assert (out_dir / existing).read_text() == "kept\n"
 
+    def test_unusable_out_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        (tmp_path / "file").write_text("kept\n")
+        cells = []
+        monkeypatch.setattr(expcli.federation, "run", lambda *a, **kw: cells.append(a))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "file" / "res")]) == 3
+        assert cells == []
+        assert "Not a directory" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"run": {"lambda": -1}}))
@@ -377,6 +391,26 @@ class TestCli:
         assert main(argv) == 2
         assert "rounds must be >= 1" in capsys.readouterr().err
         assert loads == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--set", "seed=-1"], "seed: must be >= 0, got -1"),
+            (["--set", "dataset.seed=-1"], "dataset.seed: must be >= 0, got -1"),
+            (["--config", "{dir}/list.json", "--set", "run.rounds=2"],
+             "config root must be a JSON object"),
+        ],
+        ids=["seed", "dataset-seed", "list-root-with-set"],
+    )
+    def test_run_config_errors_exit_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main(["run", *argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_make_data_negative_seed_exit_2(self, tmp_path, capsys):
+        assert main(["make-data", "--out", str(tmp_path / "d.fvd"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -500,8 +534,8 @@ class TestCli:
 # Every top-level key, section and section key, dotted.
 DOTTED_KEYS = [
     *expcli.SCHEMA,
-    *expcli.TOP_FIELDS,
-    *(f"{section}.{key}" for section, sub in expcli.SCHEMA.items() for key in sub),
+    *(f"{section}.{key}" for section, sub in expcli.SCHEMA.items()
+      if isinstance(sub, dict) for key in sub),
 ]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

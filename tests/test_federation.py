@@ -73,6 +73,7 @@ class TestRunConfig:
         [
             ("kmeans_restarts", 0), ("latent_dim", 0), ("encoder_hidden", (0,)),
             ("predictor_hidden", (8, 0)), ("augment_strength", -1.0), ("rounds", 0),
+            ("seed", -1),
         ],
     )
     def test_validate_rejects_out_of_range(self, field, value):
