@@ -40,7 +40,7 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import SiameseModel, as_matrix
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError, at_least
 
 @dataclass
 class ClusterBatch:
@@ -172,8 +172,7 @@ def combined_loss(
     carries no gradient. With center None the targets are the latents
     themselves.
     """
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
+    at_least("lambda", lam, 0)
     if lam > 0 and global_pred is None:
         raise ConfigError("lambda > 0 requires the global model's predictions")
 

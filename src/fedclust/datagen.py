@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffnet import as_matrix
-from .errors import ConfigError, FormatError, NumericError, SizeError
+from .errors import ConfigError, FormatError, NumericError, SizeError, at_least
 
 FVD_MAGIC = b"FVD1"
 
@@ -73,16 +73,11 @@ class PartitionSpec:
     seed: int
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
+        at_least("num_clients", self.num_clients, 1)
         if not 0.0 <= self.heterogeneity <= 1.0:
             raise ConfigError(f"heterogeneity p must be in [0, 1], got {self.heterogeneity}")
-        if self.samples_per_client < 1:
-            raise ConfigError(
-                f"samples_per_client must be >= 1, got {self.samples_per_client}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        at_least("samples_per_client", self.samples_per_client, 1)
+        at_least("seed", self.seed, 0)
 
 
 @dataclass
@@ -145,10 +140,8 @@ def gaussian_mixture(
     distance >= separation; labels are component ids."""
     if k < 1 or n_per < 1 or dim < 1:
         raise ConfigError("k, n_per and dim must all be >= 1")
-    if separation < 0:
-        raise ConfigError(f"separation must be >= 0, got {separation}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    at_least("separation", separation, 0)
+    at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if k == 1 or separation == 0.0:
         means = np.zeros((k, dim))
@@ -169,8 +162,7 @@ def augment(batch, strength: float, seed: int):
     """Additive Gaussian noise (sigma = strength) plus random coordinate
     zero-masking at rate strength/2 (capped at 0.5); deterministic per seed."""
     batch = as_matrix(batch, "batch")
-    if strength < 0:
-        raise ConfigError(f"strength must be >= 0, got {strength}")
+    at_least("strength", strength, 0)
     if strength == 0.0:
         return batch.copy()
     rng = np.random.default_rng(seed)
@@ -251,13 +243,15 @@ def csv_records(path) -> list[tuple[int, list[str]]]:
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a numeric CSV with a header row; a column named 'label' is optional.
+    """Read a numeric CSV with a header row; one column named 'label' is optional.
     Features must be finite numbers and labels integers in [0, 2**32), the
     range FVD stores."""
     records = csv_records(path)
     if not records:
         raise FormatError(f"{path}: empty CSV file")
     header = records[0][1]
+    if header.count("label") > 1:
+        raise FormatError(f"{path}: header names 'label' {header.count('label')} times")
     label_col = header.index("label") if "label" in header else None
     feature_cols = [i for i in range(len(header)) if i != label_col]
     rows, labels = [], []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check of a numeric setting."""
 
 
 class FedclustError(Exception):
@@ -39,3 +39,9 @@ class ProtocolError(FedclustError, RuntimeError):
 
 class MetricError(FedclustError, ValueError):
     """Metric undefined for the given inputs (e.g. single-cluster dispersion ratio)."""
+
+
+def at_least(name: str, value, lo) -> None:
+    """Raise ConfigError unless lo <= value < inf, so NaN and infinity fail too."""
+    if not lo <= value < float("inf"):
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")

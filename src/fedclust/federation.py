@@ -3,10 +3,10 @@ parameter fusion (each upload folded in as it arrives), and two-level k-means
 centroid fusion, plus the raw-space KFED baseline, the sample-contrastive SCFC
 variants, standalone ablations, and device-failure simulation.
 
-Determinism: every random choice draws from a stream keyed on
-(seed, purpose, round, client), so results are independent of client
-execution order. The only values crossing the client/server boundary are
-model parameters and centroid matrices (see ClientUpdate).
+Determinism: every random choice draws from a stream keyed on (seed,
+purpose, round, client), so results are independent of client execution
+order. Only model parameters and centroid matrices cross the client/server
+boundary: down in `disseminate`, up in a ClientUpdate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
 from .datagen import FederatedSplit, LabeledDataset
 from .diffnet import AdamState, MlpSpec, SiameseModel
-from .errors import ConfigError, MetricError, ProtocolError, SizeError
+from .errors import ConfigError, MetricError, ProtocolError, SizeError, at_least
 from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
 
 ALGORITHMS = (
@@ -70,33 +70,23 @@ class RunConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.local_epochs < 0:
-            raise ConfigError(f"local_epochs must be >= 0, got {self.local_epochs}")
-        if self.batch_max < 2:
-            raise ConfigError(f"batch_max must be >= 2, got {self.batch_max}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.lr <= 0:
+        for name, value, lo in (
+            ("k", self.k, 1), ("rounds", self.rounds, 1), ("seed", self.seed, 0),
+            ("local_epochs", self.local_epochs, 0), ("batch_max", self.batch_max, 2),
+            ("lambda", self.lam, 0), ("latent_dim", self.latent_dim, 1),
+            ("augment_strength", self.augment_strength, 0),
+            ("kmeans_restarts", self.kmeans_restarts, 1),
+        ):
+            at_least(name, value, lo)
+        for name in ("encoder_hidden", "predictor_hidden"):
+            for width in getattr(self, name):
+                at_least(f"{name} widths", width, 1)
+        if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.disconnection_rate < 1.0:
             raise ConfigError(
                 f"disconnection_rate must be in [0, 1), got {self.disconnection_rate}"
             )
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        for name in ("encoder_hidden", "predictor_hidden"):
-            if any(width < 1 for width in getattr(self, name)):
-                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
-        if self.augment_strength < 0:
-            raise ConfigError(f"augment_strength must be >= 0, got {self.augment_strength}")
-        if self.kmeans_restarts < 1:
-            raise ConfigError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
 
     @property
     def standalone(self) -> bool:
@@ -113,7 +103,8 @@ class RunConfig:
 
 @dataclass
 class ClientState:
-    """One simulated device: a features-only view of its slice, its model and Adam state."""
+    """One simulated device: a features-only view of its slice, its model and
+    Adam state, and its centroids (a server run's broadcast until it mines its own)."""
 
     client_id: int
     features: np.ndarray
@@ -176,10 +167,12 @@ def sample_disconnections(m: int, rate: float, seed: int) -> set[int]:
 
 
 def disseminate(server: ServerState, clients: list[ClientState]) -> None:
-    """Give every connected client a deep copy of the global model and no Adam state."""
+    """The download side of the boundary: each connected client gets a deep copy
+    of the global model, no Adam state, and the global centroids themselves."""
     for client in clients:
         if client.connected:
             client.model, client.adam = server.global_model.copy(), None
+            client.centroids = server.global_centroids
 
 
 def aggregate_models(updates: list[ClientUpdate], total: int | None = None,
@@ -425,31 +418,31 @@ def run(
     they start without centroids. KFED is that raw-space bootstrap alone:
     it labels every row with its nearest fused centroid.
 
-    Each round then runs broadcast, local training, and aggregation. FedAvg
-    folds each trained model into the round's running model as it arrives,
-    so a round holds one uploaded model; only the centroid uploads wait for
-    the fusion. The first R = ceil(rounds / 4) rounds group each client's
-    data against the raw-space k-FED centroids; later rounds group in the
-    latent space against the centroids fused in the round before. The
-    randomly initialized encoder is only a random map of the features, so
-    grouping in its latent space from the start feeds noise back into
-    training; grouping in raw space for too long only teaches the encoder
-    k-FED's own mistakes, which the latent space can correct. R is therefore
-    a quarter of the schedule: the encoder first learns the raw groups, and
-    most of the run is left to refine them in the latent space.
+    Each round then runs broadcast (`disseminate`), local training, and
+    aggregation. FedAvg folds each trained model into the round's running
+    model as it arrives, so a round holds one uploaded model; only the
+    centroid uploads wait for the fusion. The first R = ceil(rounds / 4)
+    rounds group each client's data against the raw-space k-FED centroids;
+    later rounds group in the latent space against the centroids fused in the
+    round before. The randomly initialized encoder is only a random map of the
+    features, so grouping in its latent space from the start feeds noise back
+    into training; grouping in raw space for too long only teaches the encoder
+    k-FED's own mistakes, which the latent space can correct. R is therefore a
+    quarter of the schedule: the encoder first learns the raw groups, and most
+    of the run is left to refine them in the latent space.
 
     Every k-means of the protocol is `_mine`: a client's mining, and the
     server's fusion in `aggregate_centroids` of the uploads stacked in client
     order. It runs `kmeans_restarts` seeded restarts only where there are no
     centroids to start from: the k-FED bootstrap (and KFED, which is that
     bootstrap alone), a standalone run's disconnected clients (which never
-    train) and SCFC's first round. Every
-    other k-means, each client's mining and the server's fusion alike, is
-    one Lloyd run from the centroids the round grouped against, in the
-    latent space of the model held as the round began (`_round_start`): the
-    broadcast global centroids (a standalone client: its own previous
-    ones), or in a raw-space round the k-FED targets encoded by that model,
-    which are also the round's latent prototypes of the raw groups.
+    train) and SCFC's first round. Every other k-means, each client's mining
+    and the server's fusion alike, is one Lloyd run from the centroids the
+    round grouped against, in the latent space of the model held as the
+    round began (`_round_start`): the broadcast global centroids (a
+    standalone client: its own previous ones), or in a raw-space round the
+    k-FED targets encoded by that model, which are also the round's latent
+    prototypes of the raw groups.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation. A run trains, so
@@ -476,7 +469,7 @@ def run(
         if rows < config.k and (config.standalone or l not in disconnected):
             raise SizeError(f"client {l} has {rows} rows, fewer than k={config.k}")
 
-    # k-FED, KFED whole and a raw-grouping run's round-1 targets: each connected
+    # k-FED, KFED whole and a raw-grouping run's raw-round targets: each connected
     # client uploads the k-means of its raw features and no model, and the
     # server fuses them (a standalone client keeps its own).
     raw_rounds = _raw_grouping_rounds(config.rounds) if config.cluster_contrastive else 0
@@ -492,7 +485,7 @@ def run(
         final = RoundRecord(0, None, None, None, metrics.nmi(assignment.labels, dataset.labels),
                             metrics.kappa(assignment.labels, dataset.labels), None)
         return RunResult([], assignment, final)
-    raw_targets = {u.client_id: u.centroids for u in raw_updates}
+    raw_targets = {u.client_id: raw_fused or u.centroids for u in raw_updates}
 
     enc_spec = MlpSpec((dataset.dim, *config.encoder_hidden, config.latent_dim))
     pred_spec = MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim))
@@ -522,19 +515,12 @@ def run(
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
         raw_space = round_index <= raw_rounds
-        if not config.standalone:
-            # Every connected client groups against the broadcast targets, and
-            # the fusion starts from them in the broadcast model's space.
-            broadcast = raw_fused if raw_space else server.global_centroids
-            start = _round_start(server.global_model, broadcast, raw_space)
         round_reports: list[LossReport] = []
         updates, merged = [], None
         for client in connected:
-            if config.standalone:
-                targets = raw_targets[client.client_id] if raw_space else client.centroids
-            else:  # a server variant's client holds the broadcast only while it trains
+            if not config.standalone:  # a client holds the broadcast only while it trains
                 disseminate(server, [client])
-                targets = broadcast
+            targets = raw_targets[client.client_id] if raw_space else client.centroids
             client.model, client.centroids, reports = local_round(
                 client, server.global_model, targets, config, round_index, raw_space=raw_space
             )
@@ -545,7 +531,8 @@ def run(
                 merged = aggregate_models([upload], total, merged)
                 upload.model = client.model = client.adam = None
                 updates.append(upload)
-        if not config.standalone:
+        if not config.standalone:  # the fusion starts from the targets every client shared
+            start = _round_start(server.global_model, targets, raw_space)
             server.global_model = merged
             server.global_centroids = aggregate_centroids(
                 updates, config, _S_FUSE, round_index, init=start

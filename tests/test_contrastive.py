@@ -278,6 +278,14 @@ class TestCombinedLoss:
         with pytest.raises(ConfigError):
             combined_loss(model, None, [ClusterBatch(np.ones((2, 4)), 0)], lam=-1.0)
 
+    def test_nan_lambda_rejected(self):
+        # NaN > 0 is False, so without the range check the regularizer would
+        # be skipped without a word.
+        model = make_model()
+        batches = [ClusterBatch(np.ones((2, 4)), 0)]
+        with pytest.raises(ConfigError, match="lambda must be >= 0, got nan"):
+            combined_loss(model, global_predictions(model.copy(), batches), batches, lam=float("nan"))
+
     @pytest.mark.parametrize("b,k,lam", [(2, 1, 0.0), (3, 2, 0.1), (5, 3, 1.0)])
     def test_gradient_matches_finite_differences(self, b, k, lam):
         rng = np.random.default_rng(100 * b + 10 * k + int(lam * 10))

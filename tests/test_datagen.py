@@ -210,6 +210,10 @@ class TestAugment:
         with pytest.raises(ConfigError):
             augment(np.ones((2, 2)), -0.1, seed=0)
 
+    def test_nan_strength_rejected(self):
+        with pytest.raises(ConfigError, match="strength must be >= 0, got nan"):
+            augment(np.ones((2, 2)), float("nan"), seed=0)
+
 
 class TestFvdFormat:
     def test_round_trip(self, tmp_path):
@@ -302,6 +306,12 @@ class TestCsvLoader:
         ds = load_csv(path)
         assert ds.labels is None
         assert ds.features.shape == (2, 2)
+
+    def test_label_named_twice(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("x,label,label\n1.0,0,1\n2.0,1,0\n")
+        with pytest.raises(FormatError, match="twice.csv: header names 'label' 2 times"):
+            load_csv(path)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "ragged.csv"

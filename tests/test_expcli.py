@@ -411,6 +411,11 @@ class TestCli:
     def test_make_data_negative_seed_exit_2(self, tmp_path, capsys):
         assert main(["make-data", "--out", str(tmp_path / "d.fvd"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        for separation in ("nan", "inf"):  # a non-finite setting is a config error too
+            out = str(tmp_path / f"{separation}.fvd")
+            assert main(["make-data", "--out", out, "--separation", separation]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: separation must be >= 0, got {separation}\n")
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -74,6 +74,10 @@ class TestRunConfig:
             ("kmeans_restarts", 0), ("latent_dim", 0), ("encoder_hidden", (0,)),
             ("predictor_hidden", (8, 0)), ("augment_strength", -1.0), ("rounds", 0),
             ("seed", -1),
+            # NaN and infinity fail every range check: a NaN lambda would
+            # otherwise train without the regularizer, since lam > 0 is False.
+            ("lam", float("nan")), ("lam", float("inf")), ("lr", float("nan")),
+            ("lr", float("inf")), ("augment_strength", float("nan")),
         ],
     )
     def test_validate_rejects_out_of_range(self, field, value):
@@ -88,13 +92,16 @@ class TestDisseminate:
         model, clients = make_clients(ds, split, config)
         clients[1].connected = False
         stale = clients[1].model
-        server = ServerState(model)
+        own = clients[1].centroids = CentroidSet(np.zeros((config.k, config.latent_dim)))
+        server = ServerState(model, CentroidSet(np.ones((config.k, config.latent_dim))))
         disseminate(server, clients)
         for client in (clients[0], clients[2]):
             for a, b in zip(client.model.param_arrays(), model.param_arrays()):
                 np.testing.assert_array_equal(a, b)
             assert client.model is not model
+            assert client.centroids is server.global_centroids
         assert clients[1].model is stale
+        assert clients[1].centroids is own
 
     def test_no_vector_is_shared(self):
         # A flat buffer shared by mistake would let one client's training move
