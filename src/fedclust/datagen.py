@@ -80,22 +80,9 @@ class PartitionSpec:
         at_least("seed", self.seed, 0)
 
 
-@dataclass
-class FederatedSplit:
-    """Per-client index lists into the parent dataset; disjoint, fixed size."""
-
-    client_indices: list[np.ndarray]
-
-    def __post_init__(self):
-        self.client_indices = [np.asarray(ix, dtype=np.int64) for ix in self.client_indices]
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_indices)
-
-
-def partition(dataset: LabeledDataset, spec: PartitionSpec) -> FederatedSplit:
-    """Split a labeled dataset into disjoint per-client index sets.
+def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+    """Split a labeled dataset into disjoint per-client index sets: one int64
+    array of row indices per client, in client order.
 
     Client l first receives round(p*s) samples (round-half-to-even) without
     replacement from class l mod num_classes, then s minus that many drawn
@@ -130,7 +117,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> FederatedSplit:
         pool = pools[l % num_classes]
         end = len(pool) - l // num_classes * quota
         clients.append(np.concatenate([pool[end - quota:end][::-1], leftovers[l * fill:(l + 1) * fill]]))
-    return FederatedSplit(clients)
+    return clients
 
 
 def gaussian_mixture(

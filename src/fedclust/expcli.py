@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import datagen, federation
 from .datagen import LabeledDataset, PartitionSpec
-from .errors import ConfigError, FedclustError, FormatError
+from .errors import ConfigError, FedclustError, FormatError, at_least
 from .federation import RunConfig
 
 SWEEP_AXES = ("none", "p", "lambda", "disconnection_rate")
@@ -98,8 +98,8 @@ class _Field:
             value = [float(v) for v in value] if self.many else float(value)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{key}: expected one of {self.choices}, got {value!r}")
-        if self.lo is not None and value < self.lo:
-            raise ConfigError(f"{key}: must be >= {self.lo}, got {value!r}")
+        if self.lo is not None:
+            at_least(key, value, self.lo)
         return value
 
 
@@ -110,7 +110,7 @@ SCHEMA: dict[str, dict[str, _Field] | _Field] = {
         "components": _Field(10, "int", lo=1),
         "per_component": _Field(500, "int", lo=1),
         "dim": _Field(32, "int", lo=1),
-        "separation": _Field(3.0, "number", lo=0.0),
+        "separation": _Field(3.0, "number", lo=0),
         "seed": _Field(7, "int", lo=0),
         "path": _Field(None, "str"),
     },
@@ -425,22 +425,22 @@ def _guard_output(path, overwrite: bool) -> None:
         raise ConfigError(f"{path} exists; pass --overwrite to replace it")
 
 
-def _cmd_make_data(args) -> int:
+def _write_fvd(args, make) -> int:
+    """Save `make()`'s dataset to --out as FVD; an existing --out first needs --overwrite."""
     _guard_output(args.out, args.overwrite)
-    dataset = datagen.gaussian_mixture(
-        args.components, args.per_component, args.dim, args.separation, args.seed
-    )
+    dataset = make()
     datagen.save_fvd(dataset, args.out)
     print(f"wrote {dataset.n}x{dataset.dim} dataset to {args.out}", file=sys.stderr)
     return 0
+
+
+def _cmd_make_data(args) -> int:
+    return _write_fvd(args, lambda: datagen.gaussian_mixture(
+        args.components, args.per_component, args.dim, args.separation, args.seed))
 
 
 def _cmd_convert(args) -> int:
-    _guard_output(args.out, args.overwrite)
-    dataset = datagen.load_csv(args.input)
-    datagen.save_fvd(dataset, args.out)
-    print(f"wrote {dataset.n}x{dataset.dim} dataset to {args.out}", file=sys.stderr)
-    return 0
+    return _write_fvd(args, lambda: datagen.load_csv(args.input))
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import contrastive, datagen, diffnet, metrics
 from .contrastive import ClusterBatch, LossReport
-from .datagen import FederatedSplit, LabeledDataset
+from .datagen import LabeledDataset
 from .diffnet import AdamState, MlpSpec, SiameseModel
 from .errors import ConfigError, MetricError, ProtocolError, SizeError, at_least
 from .kmeans import Assignment, CentroidSet, assign_nearest, lloyd
@@ -349,7 +349,7 @@ def _evaluate(
     server: ServerState,
     clients: list[ClientState],
     dataset: LabeledDataset,
-    split: FederatedSplit,
+    split: list[np.ndarray],
 ) -> tuple[Assignment, float, float, float | None]:
     """Label every row and score the labeling: (assignment, NMI, kappa, CH).
 
@@ -363,7 +363,7 @@ def _evaluate(
     true classes in the latent space, and is None where no unit defines it.
     """
     if config.standalone:
-        units = [(split.client_indices[c.client_id], c.model, c.centroids, c.features, c.connected)
+        units = [(split[c.client_id], c.model, c.centroids, c.features, c.connected)
                  for c in clients]
     else:
         units = [(slice(None), server.global_model, server.global_centroids, dataset.features, True)]
@@ -405,7 +405,7 @@ def _raw_grouping_rounds(rounds: int) -> int:
 def run(
     config: RunConfig,
     dataset: LabeledDataset,
-    split: FederatedSplit,
+    split: list[np.ndarray],
     progress=None,
 ) -> RunResult:
     """Execute a full federated clustering run.
@@ -457,7 +457,7 @@ def run(
     clusters = max(config.k, dataset.num_classes)
     if clusters > metrics.KAPPA_MAX_CLUSTERS:
         raise ConfigError(f"kappa supports at most {metrics.KAPPA_MAX_CLUSTERS} clusters, got {clusters}")
-    m = split.num_clients
+    m = len(split)
     if m < 1:
         raise ConfigError("split has no clients")
     disconnected = sample_disconnections(
@@ -465,7 +465,7 @@ def run(
     )
     # Every client that mines needs k rows: a connected one, or any standalone one.
     for l in range(m):
-        rows = len(split.client_indices[l])
+        rows = len(split[l])
         if rows < config.k and (config.standalone or l not in disconnected):
             raise SizeError(f"client {l} has {rows} rows, fewer than k={config.k}")
 
@@ -476,7 +476,7 @@ def run(
     raw_updates, raw_fused = [], None
     if config.algorithm == "KFED" or raw_rounds:
         raw_updates = [ClientUpdate(l, len(x), None, _mine(config, x, _S_KFED, l))
-                       for l, x in ((l, dataset.features[split.client_indices[l]])
+                       for l, x in ((l, dataset.features[split[l]])
                                     for l in range(m) if l not in disconnected)]
         if not config.standalone:
             raw_fused = aggregate_centroids(raw_updates, config, _S_KFED, m)
@@ -495,7 +495,7 @@ def run(
     clients = [
         ClientState(
             client_id=l,
-            features=dataset.features[split.client_indices[l]],
+            features=dataset.features[split[l]],
             model=server.global_model.copy() if config.standalone else None,
             connected=l not in disconnected,
         )

@@ -39,8 +39,8 @@ from .diffnet import as_matrix
 from .errors import ContractError, NumericError, ShapeError, SizeError
 
 DEFAULT_MAX_ITERS = 100
-DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 10
+_TOL = 1e-6  # a run stops once no centroid moves this far
 _BLOCK = 256  # the rows `_nearest` labels per pass
 
 
@@ -231,7 +231,7 @@ def _means(canon: np.ndarray, labels: np.ndarray, current: np.ndarray, out: np.n
 
 
 def _runs(
-    points, k: int, seeds, max_iters: int, tol: float, init: CentroidSet | None = None,
+    points, k: int, seeds, max_iters: int, init: CentroidSet | None = None,
     history: bool = False,
 ) -> list[tuple[CentroidSet, Assignment, list[float]]]:
     """One Lloyd run per seed, all stepped together, or one run from `init`'s
@@ -273,7 +273,7 @@ def _runs(
                     new_centroids[i, c] = canon[far]
                     residual[far] = 0.0
         shift = np.sqrt(np.square(new_centroids - current).sum(axis=2)).max(axis=1)
-        done = shift < tol
+        done = shift < _TOL
         if done.any():
             centroids[active[done]] = new_centroids[done]
             active, new_centroids = active[~done], new_centroids[~done]
@@ -302,7 +302,6 @@ def lloyd_trace(
     k: int,
     seed: int,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
     init: CentroidSet | None = None,
 ) -> tuple[CentroidSet, Assignment, list[float]]:
     """A single Lloyd run; also returns the inertia recorded at every assignment step.
@@ -312,7 +311,7 @@ def lloyd_trace(
     canonically ordered copy of the points, so the outcome is bit-identical
     under any permutation of the input rows.
     """
-    return _runs(points, k, [seed], max_iters, tol, init, history=True)[0]
+    return _runs(points, k, [seed], max_iters, init, history=True)[0]
 
 
 def lloyd(
@@ -320,7 +319,6 @@ def lloyd(
     k: int,
     seed: int,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
     restarts: int = DEFAULT_RESTARTS,
     init: CentroidSet | None = None,
 ) -> tuple[CentroidSet, Assignment]:
@@ -338,6 +336,6 @@ def lloyd(
         raise ContractError(f"restarts must be >= 1, got {restarts}")
     if init is not None and restarts != 1:
         raise ContractError(f"a run from init takes restarts=1, got {restarts}")
-    runs = _runs(points, k, range(seed, seed + restarts), max_iters, tol, init)
+    runs = _runs(points, k, range(seed, seed + restarts), max_iters, init)
     cset, assignment, _ = min(runs, key=lambda run: run[1].inertia)
     return cset, assignment

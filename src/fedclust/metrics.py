@@ -38,30 +38,26 @@ def contingency(pred_labels, true_labels) -> np.ndarray:
     if pred.size != true.size:
         raise ShapeError(f"label lengths differ: {pred.size} vs {true.size}")
     kp, kt = int(pred.max()) + 1, int(true.max()) + 1
-    counts = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(counts, (pred, true), 1)
-    return counts
+    return np.bincount(pred * kt + true, minlength=kp * kt).reshape(kp, kt)
 
 
 def nmi(pred_labels, true_labels) -> float:
-    """Normalized mutual information, geometric-mean normalization, natural logs."""
+    """Normalized mutual information, geometric-mean normalization, natural logs.
+
+    A labeling is constant when exactly one of its marginals in the count
+    table is nonzero; it then scores exactly 0.0, or 1.0 against another
+    constant labeling (identical partitions)."""
     counts = contingency(pred_labels, true_labels)
-    n = int(counts.sum())
-    joint = counts / n
-    pp = joint.sum(axis=1)
-    pt = joint.sum(axis=0)
+    constant = [np.count_nonzero(counts.sum(axis=axis)) == 1 for axis in (1, 0)]
+    if any(constant):
+        return float(all(constant))
+    joint = counts / int(counts.sum())
+    pp, pt = joint.sum(axis=1), joint.sum(axis=0)
     h_pred = float(-sum(p * math.log(p) for p in pp if p > 0))
     h_true = float(-sum(p * math.log(p) for p in pt if p > 0))
-    if h_pred == 0.0 and h_true == 0.0:
-        return 1.0  # both labelings constant: identical partitions
-    if h_pred == 0.0 or h_true == 0.0:
-        return 0.0
-    mi = 0.0
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            pij = joint[i, j]
-            if pij > 0:
-                mi += pij * math.log(pij / (pp[i] * pt[j]))
+    rows, cols = np.nonzero(counts)  # row-major order
+    cells = zip(joint[rows, cols].tolist(), (pp[rows] * pt[cols]).tolist())
+    mi = sum(p * math.log(p / q) for p, q in cells)
     return float(mi / math.sqrt(h_pred * h_true))
 
 

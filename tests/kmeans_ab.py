@@ -9,8 +9,10 @@ take the inputs of tests/test_kmeans.py's TestKernelBenchmarks, plus a
 seeded `lloyd` at 300x128 (wide enough that its restarts' per-run arrays
 show in the peaks) and `assign_nearest` at 50,000 rows; the `diffnet` cases run a desk SCFC step's
 forward and backward pass (64 augmentation pairs, 128 rows) and encode the
-desk workloads' 2,000 rows. Each case checks that both trees return the
-same bytes, and records each side's `tracemalloc` peak over one call. Prints
+desk workloads' 2,000 rows; the `metrics` cases score `nmi` and `kappa` on
+5,000 rows with q=10 and q=64 clusters and classes. Each case checks that
+both trees return the same bytes, and records each side's `tracemalloc`
+peak over one call. Prints
 one JSON object: per case, the per-round times of both sides, their
 medians, the rounds the change was faster in, and the two peaks. One
 process and alternation keep machine drift out of the comparison, which
@@ -48,6 +50,7 @@ def cases(package):
     """name -> (description, zero-argument call, its result as bytes to compare)."""
     km = importlib.import_module(f"{package.__name__}.kmeans")
     dn = importlib.import_module(f"{package.__name__}.diffnet")
+    mt = importlib.import_module(f"{package.__name__}.metrics")
 
     def run_bytes(result):
         cents, assignment = result
@@ -64,6 +67,13 @@ def cases(package):
         rng = np.random.default_rng(n)
         pts, cents = rng.normal(size=(n, 32)), km.CentroidSet(rng.normal(size=(10, 32)))
         return lambda: km.assign_nearest(pts, cents)
+
+    def score(metric, q):
+        # A clustering that keeps about half the rows in their class.
+        rng = np.random.default_rng(q)
+        true = rng.integers(0, q, size=5000)
+        pred = np.where(rng.random(5000) < 0.5, true, rng.integers(0, q, size=5000))
+        return lambda: metric(pred, true)
 
     rng = np.random.default_rng(201)
     warm_pts = rng.normal(size=(200, 32))
@@ -96,6 +106,9 @@ def cases(package):
             lambda: dn.forward_encoder(model, all_rows),
             np.ndarray.tobytes,
         ),
+        **{f"{name}_5000_q{q}": (f"metrics.{name}, 5000 rows, {q} clusters and {q} classes",
+                                 score(getattr(mt, name), q), lambda v: np.float64(v).tobytes())
+           for name in ("nmi", "kappa") for q in (10, 64)},
     }
 
 

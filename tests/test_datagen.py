@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fedclust.datagen import (
     FVD_MAGIC,
-    FederatedSplit,
     LabeledDataset,
     PartitionSpec,
     augment,
@@ -74,7 +73,8 @@ class TestPartition:
     def test_p_one_gives_pure_clients(self):
         ds = balanced_dataset(classes=3, per_class=10)
         split = partition(ds, PartitionSpec(3, 1.0, 10, seed=0))
-        for l, idx in enumerate(split.client_indices):
+        assert isinstance(split, list) and all(idx.dtype == np.int64 for idx in split)
+        for l, idx in enumerate(split):
             assert len(idx) == 10
             assert set(ds.labels[idx]) == {l}
 
@@ -83,16 +83,16 @@ class TestPartition:
         split = partition(ds, PartitionSpec(2, 0.0, 400, seed=2))
         # Multinomial 3-sigma around the uniform share of 100 per class.
         sigma = np.sqrt(400 * 0.25 * 0.75)
-        for idx in split.client_indices:
+        for idx in split:
             counts = np.bincount(ds.labels[idx], minlength=4)
             assert np.all(np.abs(counts - 100) <= 3 * sigma)
 
     def test_half_and_half_count_oracle(self):
         ds = balanced_dataset(classes=3, per_class=500, dim=2, seed=3)
         split = partition(ds, PartitionSpec(3, 0.5, 100, seed=4))
-        all_indices = np.concatenate(split.client_indices)
+        all_indices = np.concatenate(split)
         assert len(np.unique(all_indices)) == 300  # disjoint
-        for l, idx in enumerate(split.client_indices):
+        for l, idx in enumerate(split):
             assert len(idx) == 100
             own = int((ds.labels[idx] == l).sum())
             assert own >= 50  # quota guaranteed, random fill may add more
@@ -115,7 +115,7 @@ class TestPartition:
         for p in [0.0, 0.25, 0.5, 0.75, 1.0]:
             split = partition(ds, PartitionSpec(5, p, 100, seed=6))
             majority = []
-            for idx in split.client_indices:
+            for idx in split:
                 counts = np.bincount(ds.labels[idx], minlength=5)
                 majority.append(counts.max() / len(idx))
             fractions.append(np.mean(majority))
@@ -124,14 +124,14 @@ class TestPartition:
     def test_more_clients_than_classes_cycles(self):
         ds = balanced_dataset(classes=2, per_class=50)
         split = partition(ds, PartitionSpec(4, 1.0, 20, seed=7))
-        for l, idx in enumerate(split.client_indices):
+        for l, idx in enumerate(split):
             assert set(ds.labels[idx]) == {l % 2}
 
     def test_deterministic(self):
         ds = balanced_dataset(classes=3, per_class=100, seed=8)
         a = partition(ds, PartitionSpec(3, 0.3, 50, seed=9))
         b = partition(ds, PartitionSpec(3, 0.3, 50, seed=9))
-        for x, y in zip(a.client_indices, b.client_indices):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 5])
@@ -150,8 +150,8 @@ class TestPartition:
             if isinstance(expected, tuple):
                 assert got == expected
                 continue
-            assert len(got.client_indices) == len(expected)
-            for ix, want in zip(got.client_indices, expected):
+            assert len(got) == len(expected)
+            for ix, want in zip(got, expected):
                 assert ix.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(ix, want)
 

@@ -146,7 +146,7 @@ class TestParseConfig:
             ({"run": {"lr": "x"}}, "run.lr: expected a finite number, got 'x'"),
             ({"run": {"algorithm": 3}}, "run.algorithm: expected a string, got 3"),
             ({"repeats": "2"}, "repeats: expected an integer, got '2'"),
-            ({"repeats": 0}, "repeats: must be >= 1, got 0"),
+            ({"repeats": 0}, "repeats must be >= 1, got 0"),
             ({"pizza": 1}, "unknown key 'pizza'"),
             ({"run": 3}, "'run' must be an object"),
             ({"run": {"pizza": 1}}, "unknown key 'run.pizza'"),
@@ -395,8 +395,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--set", "seed=-1"], "seed: must be >= 0, got -1"),
-            (["--set", "dataset.seed=-1"], "dataset.seed: must be >= 0, got -1"),
+            (["--set", "seed=-1"], "seed must be >= 0, got -1"),
+            (["--set", "dataset.seed=-1"], "dataset.seed must be >= 0, got -1"),
             (["--config", "{dir}/list.json", "--set", "run.rounds=2"],
              "config root must be a JSON object"),
         ],
@@ -408,6 +408,29 @@ class TestCli:
         assert main(["run", *argv, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "dotted, text, message",
+        [
+            ("dataset.components", "0", "dataset.components must be >= 1, got 0"),
+            ("dataset.per_component", "0", "dataset.per_component must be >= 1, got 0"),
+            ("dataset.dim", "-2", "dataset.dim must be >= 1, got -2"),
+            ("dataset.separation", "-1", "dataset.separation must be >= 0, got -1.0"),
+            ("dataset.seed", "-1", "dataset.seed must be >= 0, got -1"),
+            ("repeats", "0", "repeats must be >= 1, got 0"),
+            ("seed", "-3", "seed must be >= 0, got -3"),
+        ],
+        ids=["components", "per_component", "dim", "separation", "dataset-seed", "repeats", "seed"],
+    )
+    def test_bounded_key_message(self, tmp_path, capsys, dotted, text, message):
+        # Every lo-bounded config key reads like any other range check
+        # (`errors.at_least`): the dotted key, the bound and the value.
+        field = expcli.SCHEMA
+        for part in dotted.split("."):
+            field = field[part]
+        assert field.lo is not None
+        assert main(["run", "--set", f"{dotted}={text}", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_make_data_negative_seed_exit_2(self, tmp_path, capsys):
         assert main(["make-data", "--out", str(tmp_path / "d.fvd"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
@@ -416,6 +439,25 @@ class TestCli:
             assert main(["make-data", "--out", out, "--separation", separation]) == 2
             assert capsys.readouterr().err == (
                 f"config error: separation must be >= 0, got {separation}\n")
+
+    def test_one_class_clients_run_exit_0(self, tmp_path):
+        # At p=1 every CCFC_standalone client is a labeling unit that holds
+        # one class: each unit scores exactly 0, and the grid writes its rows.
+        config = {
+            "dataset": {"type": "synthetic", "components": 10, "per_component": 50, "dim": 8,
+                        "separation": 3.0, "seed": 0},
+            "run": {"algorithm": "CCFC_standalone", "rounds": 3, "local_epochs": 1,
+                    "latent_dim": 8, "encoder_hidden": [16], "predictor_hidden": [16],
+                    "kmeans_restarts": 2, "batch_max": 16},
+            "partition": {"heterogeneity": 1.0, "samples_per_client": 50},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        rows = read_results_csv(out_dir / "results.csv")
+        assert [(r["round"], r["final"]) for r in rows] == [(1, False), (2, False), (3, False), (3, True)]
+        assert all(r["nmi"] == 0.0 and r["kappa"] == 0.0 for r in rows)
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

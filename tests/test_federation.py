@@ -10,7 +10,7 @@ import pytest
 
 from fedclust import contrastive, datagen, diffnet, federation, metrics
 from fedclust.contrastive import ClusterBatch, combined_loss
-from fedclust.datagen import FederatedSplit, PartitionSpec
+from fedclust.datagen import PartitionSpec
 from fedclust.diffnet import MlpSpec, init_model
 from fedclust.errors import ConfigError, ProtocolError, ShapeError, SizeError
 from fedclust.federation import (
@@ -63,7 +63,7 @@ def make_clients(ds, split, config):
     )
     return model, [
         ClientState(l, ds.features[idx], model.copy())
-        for l, idx in enumerate(split.client_indices)
+        for l, idx in enumerate(split)
     ]
 
 
@@ -549,7 +549,7 @@ class TestMiningSchedule:
         run(config, ds, split)
 
         previous = {}
-        assert len(calls) == config.rounds * split.num_clients
+        assert len(calls) == config.rounds * len(split)
         for client_id, round_index, targets, raw_space, start_model, mined, (mine_kwargs,) in calls:
             assert raw_space == (round_index <= raw_rounds)
             if round_index == 1 and not cluster_contrastive:
@@ -658,7 +658,7 @@ class TestRun:
         # A labeled run that kappa cannot score is refused before the k-FED
         # bootstrap and the first round, not at the first evaluation.
         ds = datagen.gaussian_mixture(classes, 70 // classes + 1, 2, 8.0, seed=0)
-        split = FederatedSplit([np.arange(ds.n)])
+        split = [np.arange(ds.n)]
         calls = self.spy_training(monkeypatch)
         with pytest.raises(ConfigError, match=f"at most {metrics.KAPPA_MAX_CLUSTERS} clusters"):
             run(small_config(algorithm=algorithm, k=k), ds, split)
@@ -680,7 +680,7 @@ class TestRun:
         # the k-FED bootstrap and the first round.
         features = np.random.default_rng(0).normal(size=(30, 2))
         ds = datagen.LabeledDataset(features, None, name="plain")
-        split = FederatedSplit([np.arange(15), np.arange(15, 30)])
+        split = [np.arange(15), np.arange(15, 30)]
         calls = self.spy_training(monkeypatch)
         with pytest.raises(ConfigError, match="dataset 'plain' has no labels"):
             run(small_config(algorithm=algorithm), ds, split)
@@ -690,7 +690,7 @@ class TestRun:
     def short_client_split():
         """A 3-class, 4-dim mixture over three clients; client 1 has no rows."""
         ds = datagen.gaussian_mixture(3, 20, 4, 8.0, seed=0)
-        return ds, FederatedSplit([np.arange(30), np.array([], dtype=int), np.arange(30, 60)])
+        return ds, [np.arange(30), np.array([], dtype=int), np.arange(30, 60)]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_short_client_fails_before_training(self, algorithm, monkeypatch):
@@ -807,7 +807,7 @@ class TestTrainingState:
         self.spy(monkeypatch, on_round)
         rounds = 3
         run(small_config(algorithm=algorithm, rounds=rounds), ds, split)
-        assert len(seen) == split.num_clients
+        assert len(seen) == len(split)
         for states in seen.values():
             assert len(states) == 2 * rounds and states[0] is None
             steps = states[1][0]
@@ -843,7 +843,7 @@ class TestTrainingState:
         monkeypatch.setattr(federation, "disseminate", disseminate_spy)
         self.spy(monkeypatch, on_round)
         run(small_config(algorithm=algorithm, rounds=3), ds, split)
-        assert len(steps) == 3 * split.num_clients
+        assert len(steps) == 3 * len(split)
         assert steps[0] > 0 and set(steps) == {steps[0]}
 
     @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
@@ -947,7 +947,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("algorithm", ["CCFC_standalone", "SCFC_standalone"])
     def test_standalone_labels_disconnected_rows_by_initial_model(self, algorithm):
         ds, split = blob_fixture(k=3, n_per=40, m=3)
-        assert sorted(np.concatenate(split.client_indices).tolist()) == list(range(ds.n))
+        assert sorted(np.concatenate(split).tolist()) == list(range(ds.n))
         config = small_config(algorithm=algorithm, rounds=2, disconnection_rate=0.34)
         result = run(config, ds, split)
         (dropped,) = sample_disconnections(
@@ -960,7 +960,7 @@ class TestEvaluation:
             MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim)),
             federation._stream_seed(config.seed, federation._S_INIT),
         )
-        idx = split.client_indices[dropped]
+        idx = split[dropped]
         latents = diffnet.forward_encoder(model, ds.features[idx])
         cset, _ = lloyd(
             latents, config.k,
@@ -984,7 +984,7 @@ class TestEvaluation:
         # At p=1 every client slice holds one class, so CH on a client's own
         # slice is undefined (MetricError) and the run reports no CH.
         ds, split = blob_fixture(k=3, n_per=40, m=3, p=1.0)
-        assert all(len(np.unique(ds.labels[idx])) == 1 for idx in split.client_indices)
+        assert all(len(np.unique(ds.labels[idx])) == 1 for idx in split)
         result = run(small_config(algorithm="CCFC_standalone", rounds=1), ds, split)
         assert [rec.ch for rec in result.records] == [None]
         assert result.final.ch is None
@@ -994,7 +994,7 @@ class TestEvaluation:
 class TestKfed:
     def test_single_client_equals_centralized(self):
         ds, _ = blob_fixture(k=3, n_per=40, m=3)
-        split = FederatedSplit([np.arange(ds.n)])
+        split = [np.arange(ds.n)]
         config = small_config(algorithm="KFED", k=3)
         got = run(config, ds, split).assignment
         cents, expected = lloyd(

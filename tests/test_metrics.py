@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fedclust import metrics
@@ -90,6 +92,25 @@ class TestNmi:
     def test_constant_labelings(self):
         assert metrics.nmi([0, 0, 0], [0, 0, 0]) == 1.0
         assert metrics.nmi([0, 0, 0], [0, 1, 2]) == 0.0
+
+    def test_one_class_unit_scores_exactly_zero(self):
+        # The float marginal of this constant labeling sums to 1 + 2**-52, so
+        # an entropy read from it is -2.2e-16 rather than 0.
+        pred = np.repeat(np.arange(7), [80, 59, 63, 72, 74, 73, 89])
+        assert metrics.nmi(pred, np.zeros(510, int)) == 0.0
+        assert metrics.nmi(np.zeros(510, int), pred) == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 10).flatmap(lambda c: st.tuples(st.just(c), st.integers(c, 1000))),
+           st.integers(0, 2**32 - 1), st.integers(0, 9))
+    def test_constant_labeling_scores_exactly(self, shape, seed, label):
+        clusters, n = shape
+        labels = np.random.default_rng(seed).integers(0, clusters, size=n)
+        labels[:clusters] = np.arange(clusters)  # every cluster present
+        constant = np.full(n, label)
+        assert metrics.nmi(labels, constant) == 0.0
+        assert metrics.nmi(constant, labels) == 0.0
+        assert metrics.nmi(constant, np.full(n, label // 2)) == 1.0
 
     def test_matches_oracle_on_random_labelings(self):
         rng = np.random.default_rng(1)
