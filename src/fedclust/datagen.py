@@ -125,8 +125,9 @@ def gaussian_mixture(
 ) -> LabeledDataset:
     """k isotropic unit-variance Gaussians with component means at pairwise
     distance >= separation; labels are component ids."""
-    if k < 1 or n_per < 1 or dim < 1:
-        raise ConfigError("k, n_per and dim must all be >= 1")
+    at_least("components", k, 1)
+    at_least("per_component", n_per, 1)
+    at_least("dim", dim, 1)
     at_least("separation", separation, 0)
     at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)

@@ -260,16 +260,19 @@ def _load_dataset(cfg: dict) -> LabeledDataset:
 def _run_cell(cfg, dataset, value, seed, log):
     num_classes = dataset.num_classes  # every run is scored, so the dataset must be labeled
     m = cfg["partition"]["num_clients"] or num_classes
-    k = cfg["run"]["k"] or num_classes
-    run_cfg, spec = _cell(cfg, value, seed, k=k, num_clients=m, samples_per_client=dataset.n // m)
+    run_cfg, spec = _cell(cfg, value, seed, k=num_classes, num_clients=m, samples_per_client=dataset.n // m)
     p, lam, rate = spec.heterogeneity, run_cfg.lam, run_cfg.disconnection_rate
     tag = f"[{run_cfg.algorithm} p={p:g} lambda={lam:g} rate={rate:g} seed={seed}]"
 
     def progress(record):
         log(f"{tag} round {record.round}/{run_cfg.rounds} nmi={record.nmi}")
 
-    split = datagen.partition(dataset, spec)
-    result = federation.run(run_cfg, dataset, split, progress=progress)
+    try:
+        split = datagen.partition(dataset, spec)
+        result = federation.run(run_cfg, dataset, split, progress=progress)
+    except Exception:
+        log(f"{tag} failed")
+        raise
     rows = [
         dict(zip(COLUMNS, (
             run_cfg.algorithm, p, lam, rate, seed, rec.round,
@@ -282,17 +285,17 @@ def _run_cell(cfg, dataset, value, seed, log):
     return rows
 
 
-def run_experiment(cfg: dict, log=None) -> list[dict]:
-    """Execute the sweep x repeats grid; rows come back in grid order."""
+def run_experiment(cfg: dict, log=None, rows: list | None = None) -> list[dict]:
+    """Execute the sweep x repeats grid; rows come back in grid order. Each cell's
+    rows join `rows` as it ends, so a caller's list keeps them if a later cell raises."""
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr, flush=True)
+    rows = [] if rows is None else rows
     dataset = _load_dataset(cfg)
-    return [
-        row
-        for value in _sweep_values(cfg)
-        for rep in range(cfg["repeats"])
-        for row in _run_cell(cfg, dataset, value, cfg["seed"] + rep, log)
-    ]
+    for value in _sweep_values(cfg):
+        for rep in range(cfg["repeats"]):
+            rows.extend(_run_cell(cfg, dataset, value, cfg["seed"] + rep, log))
+    return rows
 
 
 def _format_cell(value) -> str:
@@ -401,13 +404,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _save_rows(rows: list[dict], cfg: dict, args) -> None:
+    csv_path, json_path = write_results(rows, cfg, args.out, args.overwrite)
+    print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     _result_paths(args.out, args.overwrite)  # refuse before running the grid, and
     Path(args.out).mkdir(parents=True, exist_ok=True)  # fail there on an unusable --out
-    rows = run_experiment(cfg)
-    csv_path, json_path = write_results(rows, cfg, args.out, args.overwrite)
-    print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    rows: list[dict] = []
+    try:
+        run_experiment(cfg, rows=rows)
+    except BaseException:
+        if rows:  # the cells finished before the failing one stay on disk
+            try:
+                _save_rows(rows, cfg, args)
+            except (FedclustError, OSError) as exc:  # the cell's error sets the exit code
+                print(f"error: finished cells not written: {exc}", file=sys.stderr)
+        raise
+    _save_rows(rows, cfg, args)
     return 0
 
 

@@ -44,14 +44,17 @@ def contingency(pred_labels, true_labels) -> np.ndarray:
 def nmi(pred_labels, true_labels) -> float:
     """Normalized mutual information, geometric-mean normalization, natural logs.
 
-    A labeling is constant when exactly one of its marginals in the count
-    table is nonzero; it then scores exactly 0.0, or 1.0 against another
-    constant labeling (identical partitions)."""
+    Exact cases come from the integer count table: two constant labelings
+    score 1.0, and an independent table (every count times n equals its row
+    sum times its column sum, as for one constant labeling) scores 0.0."""
     counts = contingency(pred_labels, true_labels)
-    constant = [np.count_nonzero(counts.sum(axis=axis)) == 1 for axis in (1, 0)]
-    if any(constant):
-        return float(all(constant))
-    joint = counts / int(counts.sum())
+    n = int(counts.sum())
+    pred_sizes, true_sizes = counts.sum(axis=1), counts.sum(axis=0)
+    if np.count_nonzero(pred_sizes) == 1 and np.count_nonzero(true_sizes) == 1:
+        return 1.0
+    if np.array_equal(counts * n, np.outer(pred_sizes, true_sizes)):  # exact for n < 3e9
+        return 0.0
+    joint = counts / n
     pp, pt = joint.sum(axis=1), joint.sum(axis=0)
     h_pred = float(-sum(p * math.log(p) for p in pp if p > 0))
     h_true = float(-sum(p * math.log(p) for p in pt if p > 0))
@@ -68,11 +71,7 @@ def _kappa_for_mapping(counts: np.ndarray, mapping: np.ndarray, n: int) -> float
     with zero column marginals, so unmatched clusters never agree by chance.
     """
     p_o = counts[np.arange(len(mapping)), mapping].sum() / n
-    col_marginals = counts.sum(axis=0)
-    row_marginals = counts.sum(axis=1)
-    mapped = np.zeros_like(col_marginals)
-    np.add.at(mapped, mapping, row_marginals)
-    p_e = float(mapped @ col_marginals) / (n * n)
+    p_e = float(counts.sum(axis=1) @ counts.sum(axis=0)[mapping]) / (n * n)
     if p_e == 1.0:
         return 1.0 if p_o == 1.0 else 0.0
     return float((p_o - p_e) / (1.0 - p_e))

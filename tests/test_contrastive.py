@@ -342,6 +342,11 @@ class TestCombinedLoss:
             ((report.contrastive_term, report.regularizer_term, report.total), grads),
         )
 
+    @pytest.mark.parametrize("solo", [None, np.empty((0, 4))])
+    def test_no_inputs_rejected(self, solo):
+        with pytest.raises(ContractError, match="^no inputs: need cluster batches or solo rows$"):
+            combined_loss(make_model(seed=6), None, [], lam=0.0, solo_inputs=solo)
+
     def test_batch_center_needs_a_row(self):
         with pytest.raises(ContractError):
             contrastive.batch_center(np.empty((0, 3)))

@@ -190,6 +190,13 @@ class TestGaussianMixture:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
             gaussian_mixture(2, 5, 2, 1.0, seed=-3)
 
+    @pytest.mark.parametrize("sizes, key", [((0, 5, 2), "components"),
+                                            ((2, 0, 2), "per_component"),
+                                            ((2, 5, 0), "dim")])
+    def test_size_below_one_names_its_key(self, sizes, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+            gaussian_mixture(*sizes, 1.0, seed=0)
+
 
 class TestAugment:
     def test_zero_strength_is_identity(self):
@@ -282,6 +289,13 @@ class TestFvdFormat:
         blob = b"FVD1" + struct.pack("<II", 2, 2) + struct.pack("<4f", 1, 2, np.inf, 4)
         path.write_bytes(blob + b"\x00")
         with pytest.raises(FormatError, match="inf.fvd: non-finite feature at byte offset 20"):
+            load_fvd(path)
+
+    def test_bad_label_flag_reports_offset(self, tmp_path):
+        path = tmp_path / "flag.fvd"
+        blob = b"FVD1" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1, 2)
+        path.write_bytes(blob + b"\x02" + struct.pack("<2I", 0, 1))
+        with pytest.raises(FormatError, match="flag.fvd: bad label flag at byte offset 20$"):
             load_fvd(path)
 
     def test_noncontiguous_labels_rejected(self, tmp_path):

@@ -128,6 +128,10 @@ class TestForward:
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(upstream, upstream0)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"^points must be 2-D, got shape \(3,\)$"):
+            diffnet.as_matrix(np.zeros(3), "points")
+
     def test_dimension_mismatch(self):
         model = make_model()
         with pytest.raises(ShapeError):

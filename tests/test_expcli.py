@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fedclust import expcli
 from fedclust.datagen import FVD_MAGIC, LabeledDataset, save_fvd
-from fedclust.errors import ConfigError, FormatError
+from fedclust.errors import ConfigError, FormatError, NumericError
 from fedclust.expcli import (
     COLUMNS,
     main,
@@ -93,6 +93,10 @@ class TestParseConfig:
         assert cfg["repeats"] == 2
         with pytest.raises(ConfigError):
             parse_config(SMALL, overrides=["run.lambda=-3"])
+
+    def test_override_through_a_value_rejected(self):
+        with pytest.raises(ConfigError, match="^override 'repeats.x': 'repeats' is not an object$"):
+            parse_config(SMALL, overrides=["repeats=1", "repeats.x=2"])
 
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="sweep.values"):
@@ -431,6 +435,21 @@ class TestCli:
         assert main(["run", "--set", f"{dotted}={text}", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_override_without_value_exit_2(self, tmp_path, capsys):
+        assert main(["run", "--set", "run.rounds", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: override 'run.rounds' is not of the form key=value\n")
+
+    @pytest.mark.parametrize("flag, key", [("--components", "components"),
+                                           ("--per-component", "per_component"),
+                                           ("--dim", "dim")])
+    def test_make_data_size_names_its_key(self, tmp_path, capsys, flag, key):
+        # A size flag reads like its config key's message, without the section.
+        out = tmp_path / "d.fvd"
+        assert main(["make-data", "--out", str(out), flag, "0"]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_make_data_negative_seed_exit_2(self, tmp_path, capsys):
         assert main(["make-data", "--out", str(tmp_path / "d.fvd"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
@@ -458,6 +477,93 @@ class TestCli:
         rows = read_results_csv(out_dir / "results.csv")
         assert [(r["round"], r["final"]) for r in rows] == [(1, False), (2, False), (3, False), (3, True)]
         assert all(r["nmi"] == 0.0 and r["kappa"] == 0.0 for r in rows)
+
+    # Four clients of 20 rows at p=1 need 40 rows of class 0, which has 30:
+    # the p=0 cell finishes and the p=1 cell fails in its partition.
+    SHORT_CLASS = {
+        "dataset": {"type": "synthetic", "components": 3, "per_component": 30, "dim": 4,
+                    "separation": 3.0, "seed": 5},
+        "run": {"rounds": 2, "local_epochs": 1, "latent_dim": 4, "encoder_hidden": [8],
+                "predictor_hidden": [8], "kmeans_restarts": 2, "batch_max": 8},
+        "partition": {"num_clients": 4, "samples_per_client": 20},
+        "sweep": {"axis": "p", "values": [0.0, 1.0]},
+    }
+
+    def test_failing_cell_keeps_finished_cells(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.SHORT_CLASS))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "[CCFC p=1 lambda=0.1 rate=0 seed=0] failed\n" in err
+        assert err.endswith(
+            "config error: class 0 has 30 samples but clients need 40 at heterogeneity 1.0\n")
+        rows = read_results_csv(out_dir / "results.csv")
+        assert [(r["p"], r["round"], r["final"]) for r in rows] == [
+            (0.0, 1, False), (0.0, 2, False), (0.0, 2, True)]
+        payload = json.loads((out_dir / "results.json").read_text())
+        assert payload["rows"] == rows
+        assert payload["config"] == parse_config(self.SHORT_CLASS)
+
+    def test_failing_write_keeps_the_cells_error(self, tmp_path, capsys, monkeypatch):
+        # A write that fails after a failing cell is reported, but the cell's
+        # config error still sets the last message and the exit code.
+        def refuse(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(expcli, "write_results", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.SHORT_CLASS))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "error: finished cells not written: disk full\n" in err
+        assert err.endswith(
+            "config error: class 0 has 30 samples but clients need 40 at heterogeneity 1.0\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_runtime_failure_after_a_cell_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Any other package error keeps exit 3, and the finished cells too.
+        calls = []
+
+        def run_once(*args, inner=expcli.federation.run, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise NumericError("diverged")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(expcli.federation, "run", run_once)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "repeats": 2}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "[CCFC p=0 lambda=0.1 rate=0 seed=1] failed\n" in err
+        assert err.endswith("error: diverged\n")
+        assert [r["seed"] for r in read_results_csv(out_dir / "results.csv")] == [0, 0]
+
+    def test_failing_first_cell_writes_nothing(self, tmp_path, capsys):
+        config = {**self.SHORT_CLASS, "sweep": {"axis": "p", "values": [1.0, 0.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert "[CCFC p=1 lambda=0.1 rate=0 seed=0] failed\n" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_zero_local_epochs_write_empty_losses(self, tmp_path, algorithm):
+        # No client trains, so every round's loss cells are empty, not 0.
+        config = {**SMALL, "run": {**SMALL["run"], "algorithm": algorithm, "local_epochs": 0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        with open(out_dir / "results.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["final"] for r in records] == ["false", "true"]
+        losses = ("loss_total", "loss_contrastive", "loss_regularizer")
+        assert all(r[c] == "" for r in records for c in losses)
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

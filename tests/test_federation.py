@@ -236,6 +236,10 @@ class TestAggregateCentroids:
             best = min(best, cost)
         assert inertia == pytest.approx(best, rel=1e-9)
 
+    def test_zero_uploads_rejected(self):
+        with pytest.raises(ProtocolError, match="^cannot aggregate zero centroid uploads$"):
+            aggregate_centroids([], small_config())
+
     def test_too_few_uploads(self):
         cents = CentroidSet(np.zeros((2, 3)))
         with pytest.raises(SizeError):
@@ -714,6 +718,21 @@ class TestRun:
             standalone = dataclasses.replace(config, algorithm=f"{algorithm}_standalone")
             with pytest.raises(SizeError, match="client 1 has 0 rows"):
                 run(standalone, ds, split)
+
+    def test_empty_split_rejected(self):
+        ds, _ = blob_fixture()
+        with pytest.raises(ConfigError, match="^split has no clients$"):
+            run(small_config(), ds, [])
+
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_zero_local_epochs_record_no_losses(self, algorithm):
+        # No client takes a training step, so a round has no loss to report.
+        ds, split = blob_fixture()
+        result = run(small_config(algorithm=algorithm, local_epochs=0), ds, split)
+        assert len(result.records) == 2
+        for rec in result.records:
+            assert (rec.loss_total, rec.loss_contrastive, rec.loss_regularizer) == (None,) * 3
+            assert 0.0 <= rec.nmi <= 1.0
 
     def test_deterministic_records(self):
         ds, split = blob_fixture()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedclust import kmeans
-from fedclust.errors import ContractError, ShapeError, SizeError
+from fedclust.errors import ContractError, NumericError, ShapeError, SizeError
 from fedclust.kmeans import (
     Assignment,
     CentroidSet,
@@ -420,6 +420,10 @@ class TestAssignNearest:
     def test_zero_centroids_rejected(self):
         with pytest.raises(ShapeError, match="at least one row"):
             CentroidSet(np.zeros((0, 3)))
+
+    def test_non_finite_inertia_rejected(self):
+        with pytest.raises(NumericError, match="^inertia must be finite$"):
+            Assignment(np.zeros(3, dtype=int), np.nan)
 
 
 class TestKmeansppInit:

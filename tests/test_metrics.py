@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fedclust import metrics
-from fedclust.errors import MetricError, ShapeError
+from fedclust.errors import ConfigError, MetricError, ShapeError
 
 
 def oracle_nmi(pred, true):
@@ -74,7 +74,16 @@ class TestNmi:
         assert metrics.nmi([0, 0, 1, 1], [1, 1, 0, 0]) == pytest.approx(1.0)
 
     def test_independent_labelings(self):
-        assert metrics.nmi([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0, abs=1e-15)
+        assert metrics.nmi([0, 0, 1, 1], [0, 1, 0, 1]) == 0.0
+
+    def test_product_tables_score_exactly_zero(self):
+        # Every cell of a product table is its row sum times its column sum
+        # over n; the float mutual information of 76 of these 196 reads about
+        # +-1e-16 instead of 0.
+        for p, q, r in itertools.product(range(2, 9), range(2, 9), (1, 3, 7, 11)):
+            pred = np.repeat(np.arange(p), q * r)
+            true = np.tile(np.repeat(np.arange(q), r), p)
+            assert metrics.nmi(pred, true) == 0.0, (p, q, r)
 
     def test_hand_computed_example(self):
         got = metrics.nmi([0, 0, 1, 2], [0, 0, 1, 1])
@@ -124,6 +133,14 @@ class TestNmi:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             metrics.nmi([0, 1], [0, 1, 2])
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ShapeError, match="^pred_labels must be non-empty$"):
+            metrics.nmi([], [])
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ShapeError, match="^true_labels must be non-negative cluster ids$"):
+            metrics.nmi([0, 1], [0, -1])
 
 
 def _compact(labels):
@@ -210,6 +227,12 @@ class TestKappa:
             assert metrics.kappa(pred, true).hex() == expected.hex()
 
 
+    def test_too_many_clusters_rejected(self):
+        labels = np.arange(metrics.KAPPA_MAX_CLUSTERS + 1)
+        with pytest.raises(ConfigError, match="^kappa supports at most 64 clusters, got 65$"):
+            metrics.kappa(labels, labels)
+
+
 class TestCalinskiHarabasz:
     def test_two_tight_blobs_large_score(self):
         rng = np.random.default_rng(5)
@@ -262,3 +285,11 @@ class TestCalinskiHarabasz:
     def test_single_cluster_rejected(self):
         with pytest.raises(MetricError):
             metrics.calinski_harabasz(np.random.default_rng(9).normal(size=(10, 2)), [0] * 10)
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="^3 labels for 4 points$"):
+            metrics.calinski_harabasz(np.zeros((4, 2)), [0, 1, 1])
+
+    def test_as_many_clusters_as_points_rejected(self):
+        with pytest.raises(MetricError, match=r"^Calinski-Harabasz needs n > k, got n=3, k=3$"):
+            metrics.calinski_harabasz(np.eye(3), [0, 1, 2])
