@@ -7,7 +7,7 @@ cosine similarity between local and frozen-global predictions on the same
 inputs). The frozen global model does not change during a round, so the
 caller passes its predictions for the step's rows (`global_pred`) instead of
 the model. Gradients w.r.t. network outputs are exact; parameter gradients
-are composed through diffnet.backward.
+are composed through diffnet.backward, in the model's dtype.
 
 A ClusterBatch may be a stack of equal-size batches (SCFC's augmentation
 pairs reach the loss as one array). The cluster term normalises every batch
@@ -56,7 +56,8 @@ class ClusterBatch:
     sizes: list[int] = field(init=False, repr=False, compare=False)  # each batch's rows: [b] * g
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        inputs = np.asarray(self.inputs)  # float32 rows stay float32, others widen to float64
+        self.inputs = inputs if inputs.dtype == np.float32 else inputs.astype(np.float64, copy=False)
         if self.inputs.ndim not in (2, 3):
             raise ShapeError(f"cluster batch must be 2-D or 3-D, got shape {self.inputs.shape}")
         if self.inputs.shape[-2] < 2:
@@ -110,8 +111,8 @@ def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[in
         p3 = pu[rows].reshape(z3.shape)
         cos = np.matmul(p3, z3.transpose(0, 2, 1))  # cos[., i, j] = cos(p_i, z_j)
         row = cos.sum(axis=2) - np.diagonal(cos, axis1=1, axis2=2)  # per i: sum over j != i
-        for value in (weight * (row.sum(axis=1) / (1 - b))).tolist():
-            term += value
+        for value in (row.sum(axis=1) / (1 - b)).tolist():  # weighted in float64
+            term += weight * value
         # Per i: sum over j != i of unit z_j.
         others = np.subtract(z3.sum(axis=1)[:, None, :], z3, out=z3)
         # weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|), built in place
@@ -178,7 +179,7 @@ def combined_loss(
 
     parts = [b.rows for b in batches]
     if solo_inputs is not None and len(solo_inputs):
-        parts.append(as_matrix(solo_inputs, "solo inputs"))
+        parts.append(as_matrix(solo_inputs, "solo inputs", model.theta.dtype))
     if not parts:
         raise ContractError("no inputs: need cluster batches or solo rows")
     x_all = parts[0] if len(parts) == 1 else np.vstack(parts)
@@ -191,7 +192,7 @@ def combined_loss(
     if center is None:
         targets = z[:m].copy()
     else:
-        center = np.asarray(center(z[:m]) if callable(center) else center, dtype=np.float64)
+        center = np.asarray(center(z[:m]) if callable(center) else center, dtype=z.dtype)
         if center.shape != (z.shape[1],):
             raise ShapeError(f"center shape {center.shape} != latent shape ({z.shape[1]},)")
         targets = z[:m] - center

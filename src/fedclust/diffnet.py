@@ -1,13 +1,16 @@
 """Minimal differentiable MLP pair (encoder + predictor) with exact analytic
 gradients and an Adam optimizer.
 
-All numerics are float64 numpy arrays in row-major layout. The computation
-graph is fixed: an encoder MLP maps inputs to latent vectors, a predictor MLP
-maps the latent space to itself. Hidden layers use ReLU, output layers are
-linear. Loss layers provide gradients with respect to the network outputs;
-`backward` turns those into parameter gradients. A pass keeps one array per
-layer: bias and ReLU are written into the layer's matrix product, and
-backward masks a hidden layer's gradient where the next layer's input is > 0.
+Arrays are row-major, and every kernel computes in the dtype of its model's
+parameter vector: a batch is cast to it, and outputs, gradients, Adam's
+moments and FedAvg follow it (`init_model` builds float64; `federation.run`
+trains a float32 model). The computation graph is fixed: an encoder MLP maps
+inputs to latent vectors, a predictor MLP maps the latent space to itself.
+Hidden layers use ReLU, output layers are linear. Loss layers provide
+gradients with respect to the network outputs; `backward` turns those into
+parameter gradients. A pass keeps one array per layer: bias and ReLU are
+written into the layer's matrix product, and backward masks a hidden layer's
+gradient where the next layer's input is > 0.
 
 A model is its parameters, one vector `theta`: the encoder's layers, then
 the predictor's, each as its weight matrix and then its bias row, which the
@@ -33,9 +36,9 @@ ADAM_EPS = 1e-8
 _BLOCK = 256  # the rows an inference pass runs at a time
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite, 2-D, C-order float64 array or raise."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
+def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
+    """Coerce to a finite, 2-D, C-order array of `dtype` or raise."""
+    arr = np.ascontiguousarray(x, dtype=dtype)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -168,7 +171,7 @@ def _mlp_forward(params: MlpParams, x: np.ndarray):
 
 
 def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
-    x = as_matrix(x, name)
+    x = as_matrix(x, name, params.weights[0].dtype)
     in_dim = params.weights[0].shape[0]
     if x.shape[1] != in_dim:
         raise ShapeError(f"{name} has {x.shape[1]} cols, {net} expects {in_dim}")
@@ -178,7 +181,7 @@ def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
 def _infer(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """The MLP's outputs for the rows of x, `_BLOCK` rows at a time; a last
     row joins the block before it (a one-row product can round differently)."""
-    out = np.empty((len(x), params.weights[-1].shape[1]))
+    out = np.empty((len(x), params.weights[-1].shape[1]), x.dtype)
     bounds = [*range(0, max(len(x) - 1, 1), _BLOCK), len(x)]
     for lo, hi in zip(bounds, bounds[1:]):
         out[lo:hi] = _mlp_forward(params, x[lo:hi])[0]

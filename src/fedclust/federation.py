@@ -103,8 +103,8 @@ class RunConfig:
 
 @dataclass
 class ClientState:
-    """One simulated device: a features-only view of its slice, its model and
-    Adam state, and its centroids (a server run's broadcast until it mines its own)."""
+    """One simulated device: its slice's features (float32 in `run`), its model
+    and Adam state, and its centroids (a server run's broadcast until it mines its own)."""
 
     client_id: int
     features: np.ndarray
@@ -444,6 +444,12 @@ def run(
     k-FED targets encoded by that model, which are also the round's latent
     prototypes of the raw groups.
 
+    `run` is the one place that chooses float32: it builds the initial
+    model's parameter vector in float32 and casts each client's rows once,
+    when the clients are built, so the network trains and encodes in float32.
+    The k-FED bootstrap mines the float64 rows, and every k-means and metric
+    widens the float32 latents to float64.
+
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation. A run trains, so
     `config.rounds` below 1 raises ConfigError before the bootstrap. Every
@@ -489,13 +495,12 @@ def run(
 
     enc_spec = MlpSpec((dataset.dim, *config.encoder_hidden, config.latent_dim))
     pred_spec = MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim))
-    server = ServerState(
-        diffnet.init_model(enc_spec, pred_spec, _stream_seed(config.seed, _S_INIT))
-    )
+    init = diffnet.init_model(enc_spec, pred_spec, _stream_seed(config.seed, _S_INIT))
+    server = ServerState(SiameseModel(enc_spec, pred_spec, init.theta.astype(np.float32)))
     clients = [
         ClientState(
             client_id=l,
-            features=dataset.features[split[l]],
+            features=dataset.features[split[l]].astype(np.float32),
             model=server.global_model.copy() if config.standalone else None,
             connected=l not in disconnected,
         )

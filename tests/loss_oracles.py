@@ -173,7 +173,7 @@ def per_batch_combined_loss(model, global_snapshot, batches, lam, solo_inputs=No
     z, p, taps = diffnet.forward_full(model, x_all)
     if callable(center):
         center = center(z[:sum(b.size for b in batches)])
-    targets = z if center is None else z - np.asarray(center, dtype=np.float64)
+    targets = z if center is None else z - np.asarray(center, dtype=z.dtype)
     upstream = np.zeros_like(p)
 
     contrastive = 0.0

@@ -9,6 +9,7 @@ import pytest
 from fedclust import contrastive, diffnet
 from fedclust.contrastive import ClusterBatch, combined_loss
 from fedclust.diffnet import MlpSpec, init_model
+from test_diffnet import cast
 from fedclust.errors import ConfigError, ContractError, NumericError, ShapeError
 from loss_oracles import (
     chain_rule_gradients,
@@ -549,11 +550,26 @@ class TestStackedBatch:
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_matches_its_2d_batches_bitwise(self, solo, centred, lam):
         rng = np.random.default_rng(7 + 2 * solo + 4 * centred + int(10 * lam))
-        model, snapshot = desk_models()
+        self.check_stack(rng, desk_models(), solo, centred, lam)
+
+    @pytest.mark.parametrize("latent", [4, 32])
+    @pytest.mark.parametrize("solo", [False, True])
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_float32_matches_its_2d_batches_bitwise(self, latent, solo, centred, lam):
+        # `federation.run` trains in float32, whose products must stack as
+        # exactly at these latent widths.
+        rng = np.random.default_rng(latent + 2 * solo + 4 * centred + int(10 * lam))
+        self.check_stack(rng, desk_models(np.float32, latent), solo, centred, lam)
+
+    @staticmethod
+    def check_stack(rng, models, solo, centred, lam):
+        model, snapshot = models
+        dtype = model.theta.dtype
         for g, b in ((64, 2), (5, 3), (1, 4)):
-            stack = rng.normal(size=(g, b, 32))
-            tail = [ClusterBatch(rng.normal(size=(6, 32)), 9)] if g == 5 else []
-            solo_rows = rng.normal(size=(2, 32)) if solo else None
+            stack = rng.normal(size=(g, b, 32)).astype(dtype)
+            tail = [ClusterBatch(rng.normal(size=(6, 32)).astype(dtype), 9)] if g == 5 else []
+            solo_rows = rng.normal(size=(2, 32)).astype(dtype) if solo else None
             center = contrastive.batch_center if centred else None
             stacked = [ClusterBatch(stack, 0)] + tail
             split = [ClusterBatch(x, i) for i, x in enumerate(stack)] + tail
@@ -582,43 +598,115 @@ class TestStackedBatch:
             ClusterBatch(np.ones((5, 1, 4)), 0)
 
 
-def desk_models():
+def desk_models(dtype=np.float64, latent=32):
     # The desk run's widths: 32 inputs, a 256-wide encoder, 32 latents and a
     # 64-wide predictor.
-    return tuple(init_model(MlpSpec((32, 256, 32)), MlpSpec((32, 64, 32)), s) for s in (0, 1))
+    return tuple(cast(init_model(MlpSpec((32, 256, latent)), MlpSpec((latent, 64, latent)), s),
+                      dtype) for s in (0, 1))
+
+
+class TestDtype:
+    """A step computes in its model's dtype: a float64 model's step never
+    rounds to float32 and a float32 model's never widens to float64, whatever
+    the dtype of its rows, solo rows and centre."""
+
+    @pytest.mark.parametrize("dtype, other", [(np.float64, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("center", ["batch", "constant"])
+    def test_step_follows_the_model(self, dtype, other, center, monkeypatch):
+        model, snapshot = desk_models(dtype)
+        rng = np.random.default_rng(11)
+        batches = [ClusterBatch(rng.normal(size=(8, 32)).astype(other), c) for c in range(3)]
+        solo = rng.normal(size=(2, 32)).astype(other)
+        centre = (contrastive.batch_center if center == "batch"
+                  else rng.normal(size=32).astype(other))
+        global_pred = global_predictions(snapshot, batches, solo)
+        assert global_pred.dtype == dtype
+        seen = []
+        for owner, name in ((contrastive, "_cluster_term"), (diffnet, "backward")):
+            def spy(*args, inner=getattr(owner, name)):
+                seen.extend(a.dtype for a in args if isinstance(a, np.ndarray))
+                return inner(*args)
+            monkeypatch.setattr(owner, name, spy)
+        report, grads = combined_loss(model, global_pred, batches, 0.1, solo, centre)
+        assert seen and set(seen) == {np.dtype(dtype)}  # targets, predictions, upstream
+        assert grads.dtype == dtype
+        assert all(type(v) is float for v in
+                   (report.contrastive_term, report.regularizer_term, report.total))
+
+    def test_batch_keeps_float32_and_widens_the_rest(self):
+        rows = np.ones((3, 4))
+        assert ClusterBatch(rows.astype(np.float32), 0).inputs.dtype == np.float32
+        for other in (rows, rows.astype(np.int64), rows.astype(np.float16), rows.tolist()):
+            assert ClusterBatch(other, 0).inputs.dtype == np.float64
+
+    def test_float32_step_gradient_matches_float64(self):
+        # One CCFC step (10 batches of 64 rows, solo rows, batch centre,
+        # lambda 0.1) on the same parameters and rows: each parameter
+        # array's float32 gradient is within 1e-5 of the float64 one in
+        # relative norm, about 84 float32 epsilons (2**-23); five seeds of
+        # such a step read 4.3e-6 at most.
+        models32 = desk_models(np.float32)
+        models64 = tuple(cast(m, np.float64) for m in models32)
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(10, 64, 32)).astype(np.float32)
+        solo = rng.normal(size=(3, 32)).astype(np.float32)
+        grads = []
+        for model, snapshot in (models32, models64):
+            batches = [ClusterBatch(x.astype(model.theta.dtype), c) for c, x in enumerate(rows)]
+            global_pred = global_predictions(snapshot, batches, solo)
+            grads.append(combined_loss(model, global_pred, batches, 0.1, solo,
+                                       contrastive.batch_center)[1])
+        model = models64[0]
+        for name, g32, g64 in zip(model.param_names(), *map(model.unflatten, grads)):
+            assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64), name
 
 
 class TestKernelBenchmarks:
     """Per-kernel timings (pytest-benchmark) of combined_loss forward plus
-    backward at the training steps' shapes, each checked bitwise against the
+    backward at the training steps' shapes, in float64 and in float32 (the
+    dtype `federation.run` trains in), each checked bitwise against the
     per-batch oracle."""
 
     def test_scfc_step_64_pairs(self, benchmark):
-        model, snapshot = desk_models()
+        self.check_scfc_step(benchmark, np.float64, stacked=False)
+
+    def test_scfc_step_64_pairs_float32(self, benchmark):
+        self.check_scfc_step(benchmark, np.float32, stacked=False)
+
+    def test_scfc_step_stacked_64_pairs(self, benchmark):
+        # The same step as the engine passes it: one (64, 2, dim) stack.
+        self.check_scfc_step(benchmark, np.float64, stacked=True)
+
+    def test_scfc_step_stacked_64_pairs_float32(self, benchmark):
+        self.check_scfc_step(benchmark, np.float32, stacked=True)
+
+    def test_ccfc_step_10x64(self, benchmark):
+        self.check_ccfc_step(benchmark, np.float64)
+
+    def test_ccfc_step_10x64_float32(self, benchmark):
+        self.check_ccfc_step(benchmark, np.float32)
+
+    @staticmethod
+    def check_scfc_step(benchmark, dtype, stacked):
+        model, snapshot = desk_models(dtype)
         rng = np.random.default_rng(64)
         x = rng.normal(size=(64, 32))
-        pairs = np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1)
-        batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
+        pairs = np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1).astype(dtype)
+        if stacked:
+            batches = [ClusterBatch(pairs, 0)]
+        else:
+            batches = [ClusterBatch(pair, i) for i, pair in enumerate(pairs)]
         # The engine computes the global predictions once per round, outside
         # the step's loss.
         global_pred = global_predictions(snapshot, batches)
         result = benchmark(combined_loss, model, global_pred, batches, 0.1)
         assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))
 
-    def test_scfc_step_stacked_64_pairs(self, benchmark):
-        # The same step as the engine passes it: one (64, 2, dim) stack.
-        model, snapshot = desk_models()
-        rng = np.random.default_rng(64)
-        x = rng.normal(size=(64, 32))
-        batches = [ClusterBatch(np.stack((x, x + 0.5 * rng.normal(size=x.shape)), axis=1), 0)]
-        global_pred = global_predictions(snapshot, batches)
-        result = benchmark(combined_loss, model, global_pred, batches, 0.1)
-        assert_bitwise_equal(result, per_batch_combined_loss(model, snapshot, batches, 0.1))
-
-    def test_ccfc_step_10x64(self, benchmark):
-        model, snapshot = desk_models()
+    @staticmethod
+    def check_ccfc_step(benchmark, dtype):
+        model, snapshot = desk_models(dtype)
         rng = np.random.default_rng(640)
-        batches = [ClusterBatch(rng.normal(size=(64, 32)), c) for c in range(10)]
+        batches = [ClusterBatch(rng.normal(size=(64, 32)).astype(dtype), c) for c in range(10)]
         global_pred = global_predictions(snapshot, batches)
         result = benchmark(combined_loss, model, global_pred, batches, 0.1, None,
                            contrastive.batch_center)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedclust import diffnet
-from fedclust.diffnet import MlpSpec, init_model
+from fedclust.diffnet import MlpSpec, SiameseModel, init_model
 from fedclust.errors import NumericError, ShapeError, StateError
 from loss_oracles import chain_rule_gradients
 
@@ -38,6 +38,11 @@ def desk_model(seed=0):
     # The desk run's widths: 32 inputs, a 256-wide encoder, 32 latents and a
     # 64-wide predictor.
     return make_model(enc_dims=(32, 256, 32), pred_dims=(32, 64, 32), seed=seed)
+
+
+def cast(model, dtype):
+    """The model on a copy of its parameter vector in `dtype`."""
+    return SiameseModel(model.encoder_spec, model.predictor_spec, model.theta.astype(dtype))
 
 
 def reference_adam(params, grad_steps, lr):
@@ -156,14 +161,26 @@ class TestBlockedInference:
 
     B = diffnet._BLOCK
 
+    @staticmethod
+    def check_one_pass(n, latent, dtype):
+        model = make_model(enc_dims=(32, 256, latent), pred_dims=(latent, 64, latent), seed=n)
+        model = cast(model, dtype)
+        rng = np.random.default_rng(n + latent)
+        x, z = (rng.normal(size=(n, d)).astype(dtype) for d in (32, latent))
+        assert diffnet.forward_encoder(model, x).tobytes() == one_pass(model.encoder, x).tobytes()
+        assert diffnet.forward_predictor(model, z).tobytes() == one_pass(model.predictor, z).tobytes()
+
     @pytest.mark.parametrize("latent", [4, 32])
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
     def test_matches_one_pass(self, n, latent):
-        model = make_model(enc_dims=(32, 256, latent), pred_dims=(latent, 64, latent), seed=n)
-        rng = np.random.default_rng(n + latent)
-        x, z = rng.normal(size=(n, 32)), rng.normal(size=(n, latent))
-        assert diffnet.forward_encoder(model, x).tobytes() == one_pass(model.encoder, x).tobytes()
-        assert diffnet.forward_predictor(model, z).tobytes() == one_pass(model.predictor, z).tobytes()
+        self.check_one_pass(n, latent, np.float64)
+
+    @pytest.mark.parametrize("latent", [4, 32])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_float32_matches_one_pass(self, n, latent):
+        # `federation.run` trains in float32, whose products must stack as
+        # exactly at these widths.
+        self.check_one_pass(n, latent, np.float32)
 
     def test_no_one_row_block(self, monkeypatch):
         # A row left alone would be a one-row product, which can round
@@ -480,12 +497,77 @@ class TestDeterminism:
             np.testing.assert_array_equal(x, y)
 
 
+class TestDtype:
+    """Every kernel computes in its model's dtype: a float64 model never
+    rounds to float32, and a float32 model never widens to float64, whatever
+    the dtype of the rows it is given."""
+
+    @pytest.mark.parametrize("dtype, other", [(np.float64, np.float32), (np.float32, np.float64)])
+    def test_outputs_gradients_and_moments_follow_the_model(self, dtype, other):
+        model = cast(desk_model(), dtype)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 32)).astype(other)
+        z, p, taps = diffnet.forward_full(model, x)
+        layers = (z, p, *taps.enc_inputs, *taps.pred_inputs)
+        assert [a.dtype for a in layers] == [np.dtype(dtype)] * len(layers)
+        assert diffnet.forward_encoder(model, x).dtype == dtype
+        assert diffnet.forward_predictor(model, z.astype(other)).dtype == dtype
+        grads = diffnet.backward(model, taps, rng.normal(size=p.shape).astype(dtype))
+        assert grads.dtype == dtype
+        state = diffnet.AdamState()
+        diffnet.adam_step(model, state, grads, 3e-3)
+        assert model.theta.dtype == state.m.dtype == state.v.dtype == dtype
+        assert {a.dtype for a in model.param_arrays()} == {np.dtype(dtype)}
+        assert model.copy().theta.dtype == dtype
+
+    def test_float32_adam_matches_per_array_recurrence_bitwise(self):
+        # The fused update in float32 runs the reference recurrence's float32
+        # operations, element for element.
+        rng = np.random.default_rng(9)
+        model = cast(desk_model(), np.float32)
+        start = [a.copy() for a in model.param_arrays()]
+        steps = []
+        state = diffnet.AdamState()
+        for _ in range(4):
+            grads = random_gradients(model, rng)
+            steps.append([g.copy() for g in model.unflatten(grads)])
+            diffnet.adam_step(model, state, grads, lr=3e-3)
+        expected = reference_adam(start, steps, lr=3e-3)
+        assert [a.tobytes() for a in model.param_arrays()] == [e.tobytes() for e in expected]
+
+
+def forward_backward(model, x, upstream):
+    """One training pass: forward through both networks, then the gradient."""
+    _, _, taps = diffnet.forward_full(model, x)
+    return diffnet.backward(model, taps, upstream)
+
+
 class TestKernelBenchmarks:
-    """Per-kernel timing (pytest-benchmark) of one Adam update at the desk
-    widths, checked bitwise against the per-array reference recurrence."""
+    """Per-kernel timing (pytest-benchmark) at the desk widths, in float64
+    and in float32 (the dtype `federation.run` trains in): one Adam update,
+    checked bitwise against the per-array reference recurrence, and one
+    forward plus backward pass over 500 rows, checked bitwise against the
+    layer-by-layer chain rule."""
 
     def test_adam_step_desk(self, benchmark):
-        model = desk_model()
+        self.check_adam_step(benchmark, np.float64)
+
+    def test_adam_step_desk_float32(self, benchmark):
+        self.check_adam_step(benchmark, np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_forward_backward_desk_500_rows(self, benchmark, dtype):
+        model = cast(desk_model(), dtype)
+        rng = np.random.default_rng(500)
+        x, upstream = (rng.normal(size=(500, 32)).astype(dtype) for _ in range(2))
+        grads = benchmark(forward_backward, model, x, upstream)
+        expected, _ = chain_rule_gradients(model, diffnet.forward_full(model, x)[2], upstream)
+        assert grads.dtype == dtype
+        assert [g.tobytes() for g in model.unflatten(grads)] == [e.tobytes() for e in expected]
+
+    @staticmethod
+    def check_adam_step(benchmark, dtype):
+        model = cast(desk_model(), dtype)
         grads = random_gradients(model, np.random.default_rng(3))
         start = [a.copy() for a in model.param_arrays()]
         state = diffnet.AdamState()

@@ -28,6 +28,7 @@ from fedclust.federation import (
 )
 from fedclust.kmeans import CentroidSet, assign_nearest, lloyd
 from loss_oracles import global_predictions
+from test_diffnet import cast
 
 
 def small_config(**overrides):
@@ -196,6 +197,25 @@ class TestAggregateModels:
     def test_zero_clients_rejected(self):
         with pytest.raises(ProtocolError):
             aggregate_models([])
+
+    def test_float32_sum_stays_float32(self):
+        # `run` trains in float32, so its FedAvg sums float32 vectors: the
+        # sum stays float32, and folding one upload at a time gives the
+        # whole-list call's bytes.
+        rng = np.random.default_rng(1)
+        models = [cast(init_model(MlpSpec((3, 5)), MlpSpec((5, 5)), seed=200 + i), np.float32)
+                  for i in range(4)]
+        sizes = [int(rng.integers(1, 50)) for _ in models]
+        cents = CentroidSet(np.zeros((2, 5)))
+        updates = [ClientUpdate(i, s, mo, cents) for i, (s, mo) in enumerate(zip(sizes, models))]
+        merged = aggregate_models(updates)
+        folded = None
+        for update in updates:
+            folded = aggregate_models([update], sum(sizes), folded)
+        assert merged.theta.dtype == folded.theta.dtype == np.float32
+        assert folded.theta.tobytes() == merged.theta.tobytes()
+        expected = sum(s * mo.theta.astype(np.float64) for s, mo in zip(sizes, models)) / sum(sizes)
+        np.testing.assert_allclose(merged.theta, expected, rtol=1e-6, atol=1e-7)
 
 
 class TestAggregateCentroids:
@@ -567,8 +587,10 @@ class TestMiningSchedule:
             if raw_space:
                 # A raw round starts from exactly its raw-space targets as
                 # the model held at the round's start encodes them.
+                # `run` trains in float32; the centroids widen it exactly.
                 start = diffnet.forward_encoder(start_model, targets.centroids)
-                assert mine_kwargs["init"].centroids.tobytes() == start.tobytes()
+                assert start.dtype == np.float32
+                assert mine_kwargs["init"].centroids.tobytes() == start.astype(np.float64).tobytes()
             else:
                 assert mine_kwargs["init"] is targets
                 if algorithm.endswith("_standalone"):
@@ -638,13 +660,40 @@ class TestMiningSchedule:
             assert all(t is targets[0] for t in targets)
             if round_index <= raw_rounds:
                 # The raw-space targets, encoded by the broadcast model.
+                # `run` trains in float32; the centroids widen it exactly.
                 start = diffnet.forward_encoder(model, targets[0].centroids)
-                assert kwargs["init"].centroids.tobytes() == start.tobytes()
+                assert start.dtype == np.float32
+                assert kwargs["init"].centroids.tobytes() == start.astype(np.float64).tobytes()
             else:
                 assert kwargs["init"] is centroids is targets[0]
 
 
 class TestRun:
+    @pytest.mark.parametrize("algorithm", ["CCFC", "SCFC"])
+    def test_trains_in_float32(self, algorithm, monkeypatch):
+        # `run` builds the model and each client's rows in float32: every
+        # client trains in float32, and FedAvg folds float32 uploads into a
+        # float32 global model.
+        dtypes = []
+        inner_round, inner_fold = federation.local_round, federation.aggregate_models
+
+        def round_spy(client, snapshot, *args, **kwargs):
+            dtypes.extend((client.features.dtype, client.model.theta.dtype, snapshot.theta.dtype))
+            return inner_round(client, snapshot, *args, **kwargs)
+
+        def fold_spy(updates, total=None, merged=None):
+            dtypes.extend(u.model.theta.dtype for u in updates)
+            merged = inner_fold(updates, total, merged)
+            dtypes.append(merged.theta.dtype)
+            return merged
+
+        monkeypatch.setattr(federation, "local_round", round_spy)
+        monkeypatch.setattr(federation, "aggregate_models", fold_spy)
+        ds, split = blob_fixture()
+        run(small_config(algorithm=algorithm, rounds=2), ds, split)
+        # 2 rounds, each client's: 3 in its local round and 2 at its fold.
+        assert len(dtypes) == 2 * len(split) * 5 and set(dtypes) == {np.dtype(np.float32)}
+
     @staticmethod
     def spy_training(monkeypatch) -> list[str]:
         """The names of the k-means and local-round calls `run` makes from now on."""
@@ -973,14 +1022,15 @@ class TestEvaluation:
             3, 0.34, federation._stream_seed(config.seed, federation._S_CONN)
         )
         # A disconnected client never trains: its rows are labeled by k-means
-        # on the initial model's latents.
-        model = init_model(
+        # on the initial model's latents, in float32 as `run` builds that
+        # model and the client's rows.
+        model = cast(init_model(
             MlpSpec((ds.dim, *config.encoder_hidden, config.latent_dim)),
             MlpSpec((config.latent_dim, *config.predictor_hidden, config.latent_dim)),
             federation._stream_seed(config.seed, federation._S_INIT),
-        )
+        ), np.float32)
         idx = split[dropped]
-        latents = diffnet.forward_encoder(model, ds.features[idx])
+        latents = diffnet.forward_encoder(model, ds.features[idx].astype(np.float32))
         cset, _ = lloyd(
             latents, config.k,
             federation._stream_seed(config.seed, federation._S_LAZY, dropped),
@@ -1033,6 +1083,16 @@ class TestKfed:
         config = small_config(algorithm="KFED", k=3)
         assignment = run(config, ds, split).assignment
         assert metrics.nmi(assignment.labels, ds.labels) == pytest.approx(1.0)
+
+    def test_labels_and_scores_are_pinned(self):
+        # KFED mines the float64 rows, as before the network trained in
+        # float32: its labels and scores are the values recorded then.
+        ds, split = blob_fixture(k=3, n_per=20, m=3, separation=1.5, p=0.5)
+        result = run(small_config(algorithm="KFED"), ds, split)
+        assert "".join(map(str, result.assignment.labels)) == (
+            "022112222121121121222112222122222221121210000200120001010120")
+        assert result.final.nmi.hex() == "0x1.e2bb38d78ec9fp-3"
+        assert result.final.kappa.hex() == "0x1.6666666666666p-2"
 
     def test_iid_close_to_centralized_km(self):
         ds = datagen.gaussian_mixture(5, 100, 6, 8.0, seed=3)
