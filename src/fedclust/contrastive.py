@@ -47,8 +47,8 @@ class ClusterBatch:
     """Rows sampled from one assigned cluster, (b, dim), or a stack of g
     equal-size batches, (g, b, dim), which the loss counts as g batches
     sharing one id. Every batch needs >= 2 members so that leave-one-out
-    similarity is defined. Finiteness is checked once per step, when
-    combined_loss's forward pass takes all rows together."""
+    similarity is defined. Rows keep their dtype; combined_loss's forward pass
+    casts a step's rows to the model's dtype together and checks finiteness."""
 
     inputs: np.ndarray
     cluster_id: int
@@ -56,8 +56,7 @@ class ClusterBatch:
     sizes: list[int] = field(init=False, repr=False, compare=False)  # each batch's rows: [b] * g
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs)  # float32 rows stay float32, others widen to float64
-        self.inputs = inputs if inputs.dtype == np.float32 else inputs.astype(np.float64, copy=False)
+        self.inputs = np.asarray(self.inputs)
         if self.inputs.ndim not in (2, 3):
             raise ShapeError(f"cluster batch must be 2-D or 3-D, got shape {self.inputs.shape}")
         if self.inputs.shape[-2] < 2:

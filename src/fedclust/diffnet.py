@@ -2,15 +2,15 @@
 gradients and an Adam optimizer.
 
 Arrays are row-major, and every kernel computes in the dtype of its model's
-parameter vector: a batch is cast to it, and outputs, gradients, Adam's
-moments and FedAvg follow it (`init_model` builds float64; `federation.run`
-trains a float32 model). The computation graph is fixed: an encoder MLP maps
-inputs to latent vectors, a predictor MLP maps the latent space to itself.
-Hidden layers use ReLU, output layers are linear. Loss layers provide
-gradients with respect to the network outputs; `backward` turns those into
-parameter gradients. A pass keeps one array per layer: bias and ReLU are
-written into the layer's matrix product, and backward masks a hidden layer's
-gradient where the next layer's input is > 0.
+parameter vector: a training batch is cast to it once, an inference input one
+block at a time, and outputs, gradients, Adam's moments and FedAvg follow it
+(`init_model` builds float64; `federation.run` trains a float32 model). The
+computation graph is fixed: an encoder MLP maps inputs to latent vectors, a
+predictor MLP maps the latent space to itself. Hidden layers use ReLU, output
+layers are linear. Loss layers provide gradients with respect to the network
+outputs; `backward` turns those into parameter gradients. A pass keeps one
+array per layer: bias and ReLU are written into the layer's matrix product,
+and backward masks a hidden layer's gradient where the next layer's input is > 0.
 
 A model is its parameters, one vector `theta`: the encoder's layers, then
 the predictor's, each as its weight matrix and then its bias row, which the
@@ -171,6 +171,8 @@ def _mlp_forward(params: MlpParams, x: np.ndarray):
 
 
 def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
+    """x checked and cast as a network input: finite in the model's dtype,
+    2-D and as wide as the net's first layer."""
     x = as_matrix(x, name, params.weights[0].dtype)
     in_dim = params.weights[0].shape[0]
     if x.shape[1] != in_dim:
@@ -178,24 +180,26 @@ def _net_input(params: MlpParams, x, name: str, net: str) -> np.ndarray:
     return x
 
 
-def _infer(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """The MLP's outputs for the rows of x, `_BLOCK` rows at a time; a last
+def _infer(params: MlpParams, x, name: str, net: str) -> np.ndarray:
+    """The MLP's outputs for the rows of x, `_BLOCK` rows at a time, each block
+    checked and cast by `_net_input` (no full-size cast of x is built); a last
     row joins the block before it (a one-row product can round differently)."""
-    out = np.empty((len(x), params.weights[-1].shape[1]), x.dtype)
+    x = x if np.ndim(x) else as_matrix(x, name)  # a scalar has no rows to block: raise
+    out = np.empty((len(x), params.weights[-1].shape[1]), params.weights[0].dtype)
     bounds = [*range(0, max(len(x) - 1, 1), _BLOCK), len(x)]
     for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = _mlp_forward(params, x[lo:hi])[0]
+        out[lo:hi] = _mlp_forward(params, _net_input(params, x[lo:hi], name, net))[0]
     return out
 
 
 def forward_encoder(model: SiameseModel, batch) -> np.ndarray:
     """Encode a batch row-wise: z = f(x)."""
-    return _infer(model.encoder, _net_input(model.encoder, batch, "batch", "encoder"))
+    return _infer(model.encoder, batch, "batch", "encoder")
 
 
 def forward_predictor(model: SiameseModel, z) -> np.ndarray:
     """Map latent rows through the predictor: p = h(z)."""
-    return _infer(model.predictor, _net_input(model.predictor, z, "z", "predictor"))
+    return _infer(model.predictor, z, "z", "predictor")
 
 
 def forward_full(model: SiameseModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardTaps]:

@@ -278,6 +278,7 @@ def _pair_steps(features: np.ndarray, config: RunConfig, rng: np.random.Generato
         sel = np.sort(rng.choice(n_local, size=take, replace=False))
         rows = features[sel]
         views = datagen.augment(rows, config.augment_strength, seed=int(rng.integers(2**32)))
+        views = views.astype(rows.dtype, copy=False)  # augment works in float64
         pairs = np.stack((rows, views), axis=1)  # (take, 2, dim)
         global_pred = None
         if global_p is not None and take > 1:
@@ -371,29 +372,22 @@ def _evaluate(
     inertia = 0.0
     scores = []
     for idx, model, centroids, features, scored in units:
-        latents = diffnet.forward_encoder(model, features)
+        latents = diffnet.forward_encoder(model, features).astype(np.float64)  # for k-means and CH
         part = assign_nearest(latents, centroids)
         labels[idx] = part.labels
         inertia += part.inertia
         if scored:
-            scores.append(_scores(part.labels, dataset.labels[idx], latents))
+            true = dataset.labels[idx]
+            nmi, kappa = metrics.nmi(part.labels, true), metrics.kappa(part.labels, true)
+            try:
+                ch = metrics.calinski_harabasz(latents, true)
+            except MetricError:
+                ch = None
+            scores.append((nmi, kappa, ch))
     nmis, kappas, chs = zip(*scores)
     chs = [ch for ch in chs if ch is not None]
     return (Assignment(labels, inertia), float(np.mean(nmis)), float(np.mean(kappas)),
             float(np.mean(chs)) if chs else None)
-
-
-def _scores(
-    pred: np.ndarray, true: np.ndarray, latents: np.ndarray
-) -> tuple[float, float, float | None]:
-    """NMI, kappa and CH of one labeling; CH is None where it is undefined."""
-    score_nmi = metrics.nmi(pred, true)
-    score_kappa = metrics.kappa(pred, true)
-    try:
-        ch = metrics.calinski_harabasz(latents, true)
-    except MetricError:
-        ch = None
-    return score_nmi, score_kappa, ch
 
 
 def _raw_grouping_rounds(rounds: int) -> int:
@@ -447,8 +441,11 @@ def run(
     `run` is the one place that chooses float32: it builds the initial
     model's parameter vector in float32 and casts each client's rows once,
     when the clients are built, so the network trains and encodes in float32.
-    The k-FED bootstrap mines the float64 rows, and every k-means and metric
-    widens the float32 latents to float64.
+    Every other dtype change happens once, where the array is used: the
+    network casts the evaluation's float64 rows one block at a time, SCFC's
+    views are cast to their rows' dtype when drawn, and each k-means and the
+    evaluation's scores widen the latents they read to float64 once. The
+    k-FED bootstrap mines the float64 rows.
 
     Every round ends with one evaluation (see `_evaluate`). The final record
     and labeling are the last round's evaluation. A run trains, so

@@ -7,17 +7,17 @@ Every round times each case on both trees, alternating which goes first;
 a side's time in a round is the median of `REPS` calls. The `kmeans` cases
 take the inputs of tests/test_kmeans.py's TestKernelBenchmarks, plus a
 seeded `lloyd` at 300x128 (wide enough that its restarts' per-run arrays
-show in the peaks) and `assign_nearest` at 50,000 rows; the `diffnet` cases run a desk SCFC step's
-forward and backward pass (64 augmentation pairs, 128 rows) and encode the
-desk workloads' 2,000 rows; the `metrics` cases score `nmi` and `kappa` on
-5,000 rows with q=10 and q=64 clusters and classes. Each case checks that
-both trees return the same bytes, and records each side's `tracemalloc`
-peak over one call. Prints
-one JSON object: per case, the per-round times of both sides, their
-medians, the rounds the change was faster in, and the two peaks. One
-process and alternation keep machine drift out of the comparison, which
-separate pytest-benchmark runs do not. pytest does not collect it (no test_
-prefix).
+show in the peaks) and `assign_nearest` at 50,000 rows; the `diffnet` cases
+run a desk SCFC step's forward and backward pass (64 augmentation pairs,
+128 rows), encode the desk workloads' 2,000 rows, and encode 5,000 float64
+rows with a float32 encoder, as `federation.run`'s evaluation does; the
+`metrics` cases score `nmi` and `kappa` on 5,000 rows with q=10 and q=64
+clusters and classes. Each case checks that both trees return the same
+bytes, and records each side's `tracemalloc` peak over one call. Prints one
+JSON object: per case, the per-round times of both sides, their medians,
+the rounds the change was faster in, and the two peaks. One process and
+alternation keep machine drift out of the comparison, which separate
+pytest-benchmark runs do not. pytest does not collect it (no test_ prefix).
 """
 
 import importlib
@@ -83,6 +83,9 @@ def cases(package):
     rng = np.random.default_rng(128)
     step_rows, upstream = rng.normal(size=(128, 32)), rng.normal(size=(128, 32))
     all_rows = np.random.default_rng(2000).normal(size=(2000, 32))
+    model32 = dn.SiameseModel(model.encoder_spec, model.predictor_spec,
+                              model.theta.astype(np.float32))
+    rows64 = np.random.default_rng(5000).normal(size=(5000, 32))
     return {
         "lloyd_200x32_seeded": ("lloyd 200x32, k=10, restarts=10", seeded(200), run_bytes),
         "lloyd_500x32_seeded": ("lloyd 500x32, k=10, restarts=10", seeded(500), run_bytes),
@@ -104,6 +107,12 @@ def cases(package):
         "forward_encoder_2000x32": (
             "diffnet.forward_encoder 2000x32 (every row of a desk workload), encoder 32-256-32",
             lambda: dn.forward_encoder(model, all_rows),
+            np.ndarray.tobytes,
+        ),
+        "forward_encoder_float32_5000x32": (
+            "diffnet.forward_encoder of 5000x32 float64 rows with a float32 model,"
+            " encoder 32-256-32",
+            lambda: dn.forward_encoder(model32, rows64),
             np.ndarray.tobytes,
         ),
         **{f"{name}_5000_q{q}": (f"metrics.{name}, 5000 rows, {q} clusters and {q} classes",

@@ -633,11 +633,15 @@ class TestDtype:
         assert all(type(v) is float for v in
                    (report.contrastive_term, report.regularizer_term, report.total))
 
-    def test_batch_keeps_float32_and_widens_the_rest(self):
+    def test_batch_keeps_its_rows_dtype(self):
+        # The forward pass is the one place a batch becomes the model's
+        # dtype, so a batch holds its rows as given: no copy and no cast.
         rows = np.ones((3, 4))
-        assert ClusterBatch(rows.astype(np.float32), 0).inputs.dtype == np.float32
-        for other in (rows, rows.astype(np.int64), rows.astype(np.float16), rows.tolist()):
-            assert ClusterBatch(other, 0).inputs.dtype == np.float64
+        for dtype in (np.float32, np.float64, np.int64, np.float16):
+            given = rows.astype(dtype)
+            batch = ClusterBatch(given, 0)
+            assert batch.inputs is given and batch.rows.dtype == dtype
+        assert ClusterBatch(rows.tolist(), 0).inputs.dtype == np.float64
 
     def test_float32_step_gradient_matches_float64(self):
         # One CCFC step (10 batches of 64 rows, solo rows, batch centre,

@@ -137,6 +137,12 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"^points must be 2-D, got shape \(3,\)$"):
             diffnet.as_matrix(np.zeros(3), "points")
 
+    def test_scalar_input_rejected(self):
+        # Inference blocks its input by rows; a scalar has none and is not 2-D.
+        for run in (diffnet.forward_encoder, diffnet.forward_predictor, diffnet.forward_full):
+            with pytest.raises(ShapeError, match="must be 2-D"):
+                run(make_model(), 3.0)
+
     def test_dimension_mismatch(self):
         model = make_model()
         with pytest.raises(ShapeError):
@@ -181,6 +187,25 @@ class TestBlockedInference:
         # `federation.run` trains in float32, whose products must stack as
         # exactly at these widths.
         self.check_one_pass(n, latent, np.float32)
+
+    def test_casts_its_input_one_block_at_a_time(self):
+        # A float32 model encoding float64 rows builds no float32 copy of
+        # them: beside its output it holds one block's layers, so what it
+        # adds to that does not grow with the rows.
+        model = cast(desk_model(), np.float32)
+        extra = []
+        for n in (2_000, 20_000):
+            x = np.random.default_rng(n).normal(size=(n, 32))
+            tracemalloc.start()
+            try:
+                z = diffnet.forward_encoder(model, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert z.dtype == np.float32
+            extra.append(peak - z.nbytes)
+        block_layers = self.B * sum(model.encoder_spec.layer_dims) * 4
+        assert abs(extra[1] - extra[0]) <= block_layers
 
     def test_no_one_row_block(self, monkeypatch):
         # A row left alone would be a one-row product, which can round
@@ -519,6 +544,17 @@ class TestDtype:
         assert model.theta.dtype == state.m.dtype == state.v.dtype == dtype
         assert {a.dtype for a in model.param_arrays()} == {np.dtype(dtype)}
         assert model.copy().theta.dtype == dtype
+
+    def test_float32_model_rejects_rows_beyond_its_range(self):
+        # A network input is checked finite once cast to the model's dtype,
+        # so a float64 entry that float32 cannot hold is rejected, in the
+        # last block of an inference pass too.
+        model = cast(desk_model(), np.float32)
+        x = np.zeros((3 * diffnet._BLOCK, 32))
+        x[-1, 5] = -1e39
+        for run in (diffnet.forward_encoder, diffnet.forward_full):
+            with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+                run(model, x)
 
     def test_float32_adam_matches_per_array_recurrence_bitwise(self):
         # The fused update in float32 runs the reference recurrence's float32

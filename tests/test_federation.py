@@ -1040,6 +1040,43 @@ class TestEvaluation:
             result.assignment.labels[idx], assign_nearest(latents, cset).labels
         )
 
+    @pytest.mark.parametrize("algorithm, rate", [("CCFC", 0.0), ("SCFC_standalone", 0.34)])
+    def test_each_unit_widens_its_latents_once(self, algorithm, rate, monkeypatch):
+        # A unit's float32 latents are widened to float64 once, and k-means
+        # and CH read that one array.
+        calls, inside = [], []
+        inner_eval, inner_assign = federation._evaluate, federation.assign_nearest
+        inner_ch = metrics.calinski_harabasz
+
+        def eval_spy(*args):
+            inside.append(True)
+            try:
+                return inner_eval(*args)
+            finally:
+                inside.pop()
+
+        def assign_spy(points, centroids):
+            if inside:
+                calls.append(("assign", points))
+            return inner_assign(points, centroids)
+
+        def ch_spy(points, labels):
+            calls.append(("ch", points))
+            return inner_ch(points, labels)
+
+        monkeypatch.setattr(federation, "_evaluate", eval_spy)
+        monkeypatch.setattr(federation, "assign_nearest", assign_spy)
+        monkeypatch.setattr(metrics, "calinski_harabasz", ch_spy)
+        ds, split = blob_fixture(k=3, n_per=40, m=3)
+        run(small_config(algorithm=algorithm, rounds=2, disconnection_rate=rate), ds, split)
+        units, scored = (1, 1) if algorithm == "CCFC" else (3, 2)
+        assert [name for name, _ in calls].count("assign") == 2 * units
+        ch_calls = [i for i, (name, _) in enumerate(calls) if name == "ch"]
+        assert len(ch_calls) == 2 * scored
+        for i in ch_calls:
+            assert calls[i - 1][0] == "assign" and calls[i][1] is calls[i - 1][1]
+        assert {points.dtype for _, points in calls} == {np.dtype(np.float64)}
+
     def test_ch_failure_other_than_undefined_propagates(self, monkeypatch):
         def broken(points, labels):
             raise ShapeError("broken")
@@ -1168,6 +1205,22 @@ class TestScfc:
         result = run(config, ds, split)
         assert len(result.records) == 1
         assert result.records[0].loss_total is not None
+
+    @pytest.mark.parametrize("algorithm", ["SCFC", "SCFC_standalone"])
+    def test_pairs_are_float32(self, algorithm, monkeypatch):
+        # The views are cast to their rows' dtype when drawn, so every pair
+        # reaches the loss in the model's float32, with nothing to convert.
+        dtypes = []
+        inner = contrastive.combined_loss
+
+        def spy(model, global_pred, batches, *args):
+            dtypes.extend(b.inputs.dtype for b in batches)
+            return inner(model, global_pred, batches, *args)
+
+        monkeypatch.setattr(contrastive, "combined_loss", spy)
+        ds, split = blob_fixture()
+        run(small_config(algorithm=algorithm, rounds=2), ds, split)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
 
     def test_single_cluster_pair_reduces_to_two_view_loss(self):
         # A 2-member cluster under the grouped loss equals the symmetric
