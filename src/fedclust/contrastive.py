@@ -14,10 +14,7 @@ pairs reach the loss as one array). The cluster term normalises every batch
 row in one pass, then takes each run of consecutive equal-size batches as
 (batches, size, dim) views: one batched matmul gives the cosines, and the
 leave-one-out row sums and the prediction gradient follow for the whole run,
-bit-identical to a batch-by-batch evaluation. The pass works in place in the
-targets copy and the upstream gradient, because at a training step's shape
-fresh (batches, size, dim) temporaries cost more to fault in than the
-arithmetic on them.
+bit-identical to a batch-by-batch evaluation.
 
 The latent targets may be centred: combined_loss subtracts a centre c from
 every target, so each prediction is pulled toward z_j - c instead of z_j.
@@ -82,26 +79,26 @@ class LossReport:
     total: float
 
 
-def _row_norms(x: np.ndarray, scratch: np.ndarray, name: str) -> np.ndarray:
-    """Euclidean norms over the last axis (keepdims), squaring into `scratch`."""
-    norms = np.sqrt(np.square(x, out=scratch).sum(axis=-1, keepdims=True))
+def _row_norms(x: np.ndarray, name: str) -> np.ndarray:
+    """Euclidean norms over the last axis (keepdims)."""
+    norms = np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
     if not norms.all():
         raise NumericError(f"zero-norm row in {name}: cosine similarity undefined")
     return norms
 
 
-def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[int]) -> float:
+def _cluster_term(t: np.ndarray, p: np.ndarray, sizes: list[int]) -> tuple[float, np.ndarray]:
     """Cluster-contrastive term of batches of `sizes` rows, stacked in that
-    order in t (latent targets) and p (predictions); writes its gradient
-    w.r.t. p into `grad`. t is overwritten; latents carry no gradient.
+    order in t (latent targets) and p (predictions), and its gradient w.r.t.
+    p; latents carry no gradient.
 
     Each batch of b rows adds 1 / (len(sizes) * b) times its leave-one-out
     loss sum, in batch order."""
-    zu = np.divide(t, _row_norms(t, grad, "latents"), out=t)
-    pn = _row_norms(p, grad, "predictions")
-    pu = np.divide(p, pn, out=grad)
-    term = 0.0
-    offset = 0
+    zu = t / _row_norms(t, "latents")
+    pn = _row_norms(p, "predictions")
+    pu = p / pn
+    grad = np.empty_like(p)
+    term, offset = 0.0, 0
     for b, run in itertools.groupby(sizes):
         g = len(list(run))
         weight = 1.0 / (len(sizes) * b)
@@ -112,27 +109,22 @@ def _cluster_term(t: np.ndarray, p: np.ndarray, grad: np.ndarray, sizes: list[in
         row = cos.sum(axis=2) - np.diagonal(cos, axis1=1, axis2=2)  # per i: sum over j != i
         for value in (row.sum(axis=1) / (1 - b)).tolist():  # weighted in float64
             term += weight * value
-        # Per i: sum over j != i of unit z_j.
-        others = np.subtract(z3.sum(axis=1)[:, None, :], z3, out=z3)
-        # weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|), built in place
-        # as (row_i * pu_i - others) / ...: equal up to the sign of zeros,
-        # which the sums of diffnet.backward do not pass on.
-        np.multiply(row[:, :, None], p3, out=p3)
-        np.subtract(p3, others, out=p3)
-        np.divide(p3, (b - 1) * pn[rows].reshape(g, b, 1), out=p3)
-        np.multiply(p3, weight, out=p3)
+        others = z3.sum(axis=1)[:, None, :] - z3  # per i: sum over j != i of unit z_j
+        # = weight * -(others - row_i * pu_i) / ((b - 1) * |p_i|) up to the sign
+        # of zeros, which the sums of diffnet.backward do not pass on.
+        grad[rows] = ((row[:, :, None] * p3 - others) / ((b - 1) * pn[rows].reshape(g, b, 1))
+                      * weight).reshape(g * b, -1)
         offset += g * b
-    return term
+    return term, grad
 
 
 def _regularizer_terms(p_local: np.ndarray, p_global: np.ndarray):
     """Mean negative cosine between local and frozen-global predictions, with
     gradient w.r.t. the local predictions only."""
     n = p_local.shape[0]
-    scratch = np.empty_like(p_local)
-    pn = _row_norms(p_local, scratch, "local predictions")
+    pn = _row_norms(p_local, "local predictions")
     pu = p_local / pn
-    gu = p_global / _row_norms(p_global, scratch, "global predictions")
+    gu = p_global / _row_norms(p_global, "global predictions")
     cos = np.einsum("ij,ij->i", pu, gu)
     value = float(-cos.sum() / n)
     dp = -(gu - cos[:, None] * pu) / (n * pn)
@@ -188,15 +180,14 @@ def combined_loss(
         raise ShapeError(f"global predictions shape {np.shape(global_pred)} != {p.shape}")
     sizes = [size for b in batches for size in b.sizes]
     m = sum(sizes)
-    if center is None:
-        targets = z[:m].copy()
-    else:
-        center = np.asarray(center(z[:m]) if callable(center) else center, dtype=z.dtype)
+    targets = z[:m]
+    if center is not None:
+        center = np.asarray(center(targets) if callable(center) else center, dtype=z.dtype)
         if center.shape != (z.shape[1],):
             raise ShapeError(f"center shape {center.shape} != latent shape ({z.shape[1]},)")
-        targets = z[:m] - center
+        targets = targets - center
     upstream = np.zeros_like(p)
-    contrastive = _cluster_term(targets, p[:m], upstream[:m], sizes)
+    contrastive, upstream[:m] = _cluster_term(targets, p[:m], sizes)
 
     regularizer = 0.0
     if lam > 0:

@@ -257,8 +257,8 @@ def adam_step(model: SiameseModel, state: AdamState, g: np.ndarray, lr: float) -
     bias2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps), each element through
-    # the same operations in the same order, in two scratch vectors.
+    # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps) in two scratch vectors:
+    # bit for bit those expressions, which take 20-25% longer on a float32 desk model.
     scratch = np.multiply(g, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
     m += scratch

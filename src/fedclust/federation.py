@@ -533,8 +533,9 @@ def run(
                 merged = aggregate_models([upload], total, merged)
                 upload.model = client.model = client.adam = None
                 updates.append(upload)
-        if not config.standalone:  # the fusion starts from the targets every client shared
-            start = _round_start(server.global_model, targets, raw_space)
+        if not config.standalone:  # the fusion starts from the round's shared targets
+            start = _round_start(server.global_model,
+                                 raw_fused if raw_space else server.global_centroids, raw_space)
             server.global_model = merged
             server.global_centroids = aggregate_centroids(
                 updates, config, _S_FUSE, round_index, init=start

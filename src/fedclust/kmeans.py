@@ -103,10 +103,9 @@ def _nearest(points: np.ndarray, centroids: np.ndarray,
 # `_sq_dists` on ties; a per-point squared distance in the loop (a reseed's
 # residuals, the trace's inertia history) is read from the exact distances
 # at the ranked label by `_nearest`. The ranking takes several runs'
-# centroids stacked as (runs, k, dim), returns (runs, n) and works in `out`,
-# a (runs, n, k) array.
-def _argmin_labels(points: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    d2 = np.matmul(points, centroids.transpose(0, 2, 1), out=out)
+# centroids stacked as (runs, k, dim) and returns (runs, n) labels.
+def _argmin_labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = np.matmul(points, centroids.transpose(0, 2, 1))
     np.multiply(d2, 2.0, out=d2)
     np.subtract(np.square(centroids).sum(axis=2)[:, None, :], d2, out=d2)
     return np.argmin(d2, axis=2)
@@ -244,19 +243,17 @@ def _runs(
         raise ShapeError(
             f"init holds {init.k} centroids of dim {init.space_dim}, expected {k} of dim {dim}"
         )
-    # Scratch arrays reused at every step: a fresh array of this size takes
-    # longer to fault in than the arithmetic done on it.
+    # One scratch array, shared by the seeding and every step's means, so a
+    # call allocates its (runs, n, dim) temporary once.
     work = np.empty((len(seeds) if init is None else 1, n, dim))
     centroids = _seed(canon, k, seeds, work) if init is None else init.centroids[None].copy()
     count = len(centroids)
-    scores = np.empty((count, n, k))
     histories: list[list[float]] = [[] for _ in range(count)]
     # The runs that have not converged, and their centroids; a run that
     # converges writes its centroids back and leaves the batch.
     active, current = np.arange(count), centroids
     for _ in range(max_iters):
-        runs = len(active)
-        labels_c = _argmin_labels(canon, current, scores[:runs])
+        labels_c = _argmin_labels(canon, current)
         if history:
             for r, cents, labels_r in zip(active, current, labels_c):
                 histories[r].append(float(_nearest(canon, cents, labels_r)[1].sum()))

@@ -11,13 +11,22 @@ show in the peaks) and `assign_nearest` at 50,000 rows; the `diffnet` cases
 run a desk SCFC step's forward and backward pass (64 augmentation pairs,
 128 rows), encode the desk workloads' 2,000 rows, and encode 5,000 float64
 rows with a float32 encoder, as `federation.run`'s evaluation does; the
-`metrics` cases score `nmi` and `kappa` on 5,000 rows with q=10 and q=64
-clusters and classes. Each case checks that both trees return the same
-bytes, and records each side's `tracemalloc` peak over one call. Prints one
-JSON object: per case, the per-round times of both sides, their medians,
-the rounds the change was faster in, and the two peaks. One process and
-alternation keep machine drift out of the comparison, which separate
-pytest-benchmark runs do not. pytest does not collect it (no test_ prefix).
+`contrastive` cases run float32 training steps at the desk widths: a CCFC
+`combined_loss` step (10 batches of 64 rows, `batch_center`, lambda 0.1), an
+SCFC step on one (64, 2, 32) stack of pairs (lambda 0.1), and 20 `adam_step`
+calls from fresh Adam state; the `metrics` cases score `nmi` and `kappa` on
+5,000 rows with q=10 and q=64 clusters and classes. Each case checks that
+both trees return the same bytes, and records each side's `tracemalloc` peak
+over one call. Prints one JSON object: per case, the per-round times of both
+sides, their medians, the rounds the change was faster in, and the two
+peaks. One process and alternation keep machine drift out of the
+comparison, which separate pytest-benchmark runs do not. pytest does not
+collect it (no test_ prefix).
+
+A case with equal code on both sides can read "change faster" in as few as
+a quarter of the rounds, so call a case slower only if its change median is
+higher and it loses most rounds in two runs, one per order of the two trees
+on the command line.
 """
 
 import importlib
@@ -51,6 +60,7 @@ def cases(package):
     km = importlib.import_module(f"{package.__name__}.kmeans")
     dn = importlib.import_module(f"{package.__name__}.diffnet")
     mt = importlib.import_module(f"{package.__name__}.metrics")
+    cl = importlib.import_module(f"{package.__name__}.contrastive")
 
     def run_bytes(result):
         cents, assignment = result
@@ -83,9 +93,35 @@ def cases(package):
     rng = np.random.default_rng(128)
     step_rows, upstream = rng.normal(size=(128, 32)), rng.normal(size=(128, 32))
     all_rows = np.random.default_rng(2000).normal(size=(2000, 32))
-    model32 = dn.SiameseModel(model.encoder_spec, model.predictor_spec,
-                              model.theta.astype(np.float32))
+
+    def float32(m):
+        return dn.SiameseModel(m.encoder_spec, m.predictor_spec, m.theta.astype(np.float32))
+
+    model32 = float32(model)
     rows64 = np.random.default_rng(5000).normal(size=(5000, 32))
+    snapshot32 = float32(dn.init_model(model.encoder_spec, model.predictor_spec, 1))
+
+    def loss_step(batches, center=None):
+        x = np.vstack([b.rows for b in batches])
+        global_pred = dn.forward_predictor(snapshot32, dn.forward_encoder(snapshot32, x))
+        return lambda: cl.combined_loss(model32, global_pred, batches, 0.1, None, center)
+
+    def loss_bytes(result):
+        report, grads = result
+        return np.float64([report.contrastive_term, report.regularizer_term]).tobytes() \
+            + grads.tobytes()
+
+    def adam_steps():
+        trained, state = model32.copy(), dn.AdamState()
+        for g in adam_grads:
+            dn.adam_step(trained, state, g, 1e-3)
+        return trained.theta
+
+    rng = np.random.default_rng(64)
+    ccfc_batches = [cl.ClusterBatch(rng.normal(size=(64, 32)).astype(np.float32), c)
+                    for c in range(10)]
+    pairs = rng.normal(size=(64, 2, 32)).astype(np.float32)
+    adam_grads = rng.normal(size=(20, *model32.theta.shape)).astype(np.float32)
     return {
         "lloyd_200x32_seeded": ("lloyd 200x32, k=10, restarts=10", seeded(200), run_bytes),
         "lloyd_500x32_seeded": ("lloyd 500x32, k=10, restarts=10", seeded(500), run_bytes),
@@ -113,6 +149,24 @@ def cases(package):
             "diffnet.forward_encoder of 5000x32 float64 rows with a float32 model,"
             " encoder 32-256-32",
             lambda: dn.forward_encoder(model32, rows64),
+            np.ndarray.tobytes,
+        ),
+        "combined_loss_ccfc_float32_10x64": (
+            "contrastive.combined_loss, float32 CCFC step: 10 batches of 64x32, batch_center,"
+            " lambda 0.1, encoder 32-256-32, predictor 32-64-32",
+            loss_step(ccfc_batches, cl.batch_center),
+            loss_bytes,
+        ),
+        "combined_loss_scfc_float32_64x2": (
+            "contrastive.combined_loss, float32 SCFC step: one (64, 2, 32) stack of pairs,"
+            " lambda 0.1, encoder 32-256-32, predictor 32-64-32",
+            loss_step([cl.ClusterBatch(pairs, 0)]),
+            loss_bytes,
+        ),
+        "adam_step_float32_x20": (
+            "diffnet.adam_step, 20 calls from fresh state on a float32 desk model's"
+            " parameter vector",
+            adam_steps,
             np.ndarray.tobytes,
         ),
         **{f"{name}_5000_q{q}": (f"metrics.{name}, 5000 rows, {q} clusters and {q} classes",

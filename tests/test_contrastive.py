@@ -665,6 +665,36 @@ class TestDtype:
             assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64), name
 
 
+class TestInputsUntouched:
+    """combined_loss only reads what it is given: the model's parameters,
+    every batch's rows, the solo rows, the global predictions and a constant
+    centre keep their bytes, so no caller needs to copy them first."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("step", ["ccfc", "scfc", "scfc_centred"])
+    def test_step_leaves_its_inputs_alone(self, step, dtype):
+        model, snapshot = desk_models(dtype)
+        rng = np.random.default_rng(65)
+        solo, center = None, None
+        if step == "ccfc":
+            # A CCFC step: 10 batches of 64 rows, solo rows, batch centre.
+            batches = [ClusterBatch(rng.normal(size=(64, 32)).astype(dtype), c)
+                       for c in range(10)]
+            solo, center = rng.normal(size=(3, 32)).astype(dtype), contrastive.batch_center
+        else:
+            # An SCFC step: one (64, 2, dim) stack of augmentation pairs,
+            # which the forward pass reads without a copy.
+            batches = [ClusterBatch(rng.normal(size=(64, 2, 32)).astype(dtype), 0)]
+            if step == "scfc_centred":
+                center = rng.normal(size=32).astype(dtype)
+        global_pred = global_predictions(snapshot, batches, solo)
+        given = [model.theta, global_pred, *(b.inputs for b in batches)]
+        given += [a for a in (solo, center) if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in given]
+        combined_loss(model, global_pred, batches, 0.1, solo, center)
+        assert [a.tobytes() for a in given] == before
+
+
 class TestKernelBenchmarks:
     """Per-kernel timings (pytest-benchmark) of combined_loss forward plus
     backward at the training steps' shapes, in float64 and in float32 (the
